@@ -1,14 +1,13 @@
 // E1 (Fig 1/2): cost of the EONA interface plane.
 //
 // The architecture figures claim a deployable message plane between AppPs
-// and InfPs. This bench measures it: wire encode/decode at realistic report
-// sizes, looking-glass publish/query, and policy application -- the per-
-// report costs a provider pays per control epoch.
+// and InfPs. This bench measures the per-report costs a provider pays per
+// control epoch on that plane: looking-glass publish/query and policy
+// application at realistic report sizes.
 #include <benchmark/benchmark.h>
 
 #include "json_main.hpp"
 #include "eona/endpoint.hpp"
-#include "eona/wire.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -41,58 +40,6 @@ core::A2IReport make_a2i(std::size_t groups, std::size_t forecasts) {
   }
   return report;
 }
-
-core::I2AReport make_i2a(std::size_t peerings, std::size_t hints) {
-  sim::Rng rng(2);
-  core::I2AReport report;
-  report.from = ProviderId(1);
-  for (std::size_t i = 0; i < peerings; ++i) {
-    core::PeeringStatus p;
-    p.peering = PeeringId(static_cast<std::uint32_t>(i));
-    p.capacity = rng.uniform(1e7, 1e9);
-    p.utilization = rng.uniform(0, 1);
-    report.peerings.push_back(p);
-  }
-  for (std::size_t i = 0; i < hints; ++i) {
-    core::ServerHint h;
-    h.cdn = CdnId(static_cast<std::uint32_t>(i % 4));
-    h.server = ServerId(static_cast<std::uint32_t>(i));
-    h.load = rng.uniform(0, 1);
-    report.server_hints.push_back(h);
-  }
-  return report;
-}
-
-void BM_A2IEncode(benchmark::State& state) {
-  auto report = make_a2i(static_cast<std::size_t>(state.range(0)),
-                         static_cast<std::size_t>(state.range(0)) / 4 + 1);
-  std::size_t bytes = core::encode(report).size();
-  for (auto _ : state) benchmark::DoNotOptimize(core::encode(report));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
-  state.counters["frame_bytes"] = static_cast<double>(bytes);
-}
-BENCHMARK(BM_A2IEncode)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_A2IDecode(benchmark::State& state) {
-  auto report = make_a2i(static_cast<std::size_t>(state.range(0)),
-                         static_cast<std::size_t>(state.range(0)) / 4 + 1);
-  core::WireBytes bytes = core::encode(report);
-  for (auto _ : state) benchmark::DoNotOptimize(core::decode_a2i(bytes));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_A2IDecode)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_I2ARoundTrip(benchmark::State& state) {
-  auto report = make_i2a(static_cast<std::size_t>(state.range(0)),
-                         static_cast<std::size_t>(state.range(0)) * 4);
-  for (auto _ : state) {
-    core::WireBytes bytes = core::encode(report);
-    benchmark::DoNotOptimize(core::decode_i2a(bytes));
-  }
-}
-BENCHMARK(BM_I2ARoundTrip)->Arg(4)->Arg(64);
 
 void BM_LookingGlassPublish(benchmark::State& state) {
   core::A2IEndpoint glass(ProviderId(0));

@@ -4,134 +4,28 @@
 // The paper's AppP collects "user experience for tens of millions of
 // sessions each day" and aggregates it by attribute tuples before it ever
 // crosses the A2I boundary. This bench pins the cost of that ingest path:
-// beacons/s into the group-by and windowed aggregators at 1k / 16k / 128k
-// distinct (ISP, CDN, server) groups, for both the interned dense-id
-// pipeline (telemetry/interner.hpp + group_table.hpp) and a faithful copy
-// of the pre-interning baseline (std::unordered_map<Dimensions, ...> with a
-// struct hash + try_emplace per beacon), plus the windowed snapshot/query
-// paths the controller reads. Results land in BENCH_sec3_beacon_ingest.json
-// (see json_main.hpp) so the before/after is tracked run over run.
+// beacons/s into the interned dense-id WindowedAggregator
+// (telemetry/interner.hpp + group_table.hpp) at 1k / 16k / 128k distinct
+// (ISP, CDN, server) groups, plus the windowed snapshot/query paths the
+// controller reads. Results land in BENCH_sec3_beacon_ingest.json (see
+// json_main.hpp) so the numbers are tracked run over run.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "json_main.hpp"
 #include "sim/rng.hpp"
 #include "telemetry/aggregator.hpp"
-#include "telemetry/p2_quantile.hpp"
 
 namespace {
 
 using namespace eona;
 using telemetry::Dim;
 using telemetry::Dimensions;
-using telemetry::MetricAggregate;
 using telemetry::SessionRecord;
 
 constexpr Dim kMask = Dim::kIsp | Dim::kCdn | Dim::kServer;
-
-// ---------------------------------------------------------------------------
-// Legacy baseline: verbatim behaviour of the pre-interning aggregators
-// (struct-keyed unordered_map, try_emplace per beacon, merge-everything
-// snapshot). Kept here, not in src/, purely as the bench's "before" side.
-// ---------------------------------------------------------------------------
-
-class LegacyGroupBy {
- public:
-  explicit LegacyGroupBy(Dim mask) : mask_(mask) {}
-
-  void ingest(const SessionRecord& record) {
-    Dimensions key = project(record.dims, mask_);
-    Group& group = groups_.try_emplace(key, Group{}).first->second;
-    group.aggregate.add(record.metrics);
-    group.buffering_p50.add(record.metrics.buffering_ratio);
-    group.buffering_p90.add(record.metrics.buffering_ratio);
-  }
-
-  [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
-
- private:
-  struct Group {
-    MetricAggregate aggregate;
-    telemetry::P2Quantile buffering_p50{0.5};
-    telemetry::P2Quantile buffering_p90{0.9};
-  };
-  Dim mask_;
-  std::unordered_map<Dimensions, Group> groups_;
-};
-
-class LegacyWindowed {
- public:
-  LegacyWindowed(Dim mask, Duration window, std::size_t buckets)
-      : mask_(mask),
-        bucket_span_(window / static_cast<double>(buckets)),
-        ring_(buckets) {}
-
-  void ingest(const SessionRecord& record) {
-    Bucket& bucket = bucket_for(record.timestamp);
-    bucket.groups[project(record.dims, mask_)].add(record.metrics);
-  }
-
-  [[nodiscard]] MetricAggregate query(const Dimensions& dims,
-                                      TimePoint now) const {
-    Dimensions key = project(dims, mask_);
-    MetricAggregate merged;
-    for (const Bucket& bucket : ring_) {
-      if (!live(bucket, now)) continue;
-      auto it = bucket.groups.find(key);
-      if (it != bucket.groups.end()) merged.merge(it->second);
-    }
-    return merged;
-  }
-
-  [[nodiscard]] std::vector<std::pair<Dimensions, MetricAggregate>> snapshot(
-      TimePoint now) const {
-    std::unordered_map<Dimensions, MetricAggregate> merged;
-    for (const Bucket& bucket : ring_) {
-      if (!live(bucket, now)) continue;
-      for (const auto& [key, agg] : bucket.groups) merged[key].merge(agg);
-    }
-    std::vector<std::pair<Dimensions, MetricAggregate>> result(merged.begin(),
-                                                               merged.end());
-    std::sort(result.begin(), result.end(), [](const auto& a, const auto& b) {
-      return telemetry::dim_order(a.first, b.first);
-    });
-    return result;
-  }
-
- private:
-  struct Bucket {
-    std::int64_t index = -1;
-    std::unordered_map<Dimensions, MetricAggregate> groups;
-  };
-
-  [[nodiscard]] std::int64_t index_of(TimePoint t) const {
-    return static_cast<std::int64_t>(t / bucket_span_);
-  }
-
-  Bucket& bucket_for(TimePoint t) {
-    std::int64_t idx = index_of(t);
-    Bucket& bucket = ring_[static_cast<std::size_t>(idx) % ring_.size()];
-    if (bucket.index != idx) {
-      bucket.index = idx;
-      bucket.groups.clear();
-    }
-    return bucket;
-  }
-
-  [[nodiscard]] bool live(const Bucket& bucket, TimePoint now) const {
-    if (bucket.index < 0) return false;
-    std::int64_t newest = index_of(now);
-    std::int64_t oldest = newest - static_cast<std::int64_t>(ring_.size()) + 1;
-    return bucket.index >= oldest && bucket.index <= newest;
-  }
-
-  Dim mask_;
-  Duration bucket_span_;
-  std::vector<Bucket> ring_;
-};
 
 // ---------------------------------------------------------------------------
 // Workload: a deterministic beacon stream scattering over exactly `groups`
@@ -177,43 +71,14 @@ class BeaconStream {
   std::vector<telemetry::SessionMetrics> metrics_;
 };
 
-template <typename Agg>
-void prefill(Agg& agg, BeaconStream& stream, std::uint32_t groups) {
+void prefill(telemetry::WindowedAggregator& agg, BeaconStream& stream,
+             std::uint32_t groups) {
   for (std::uint32_t i = 0; i < 4 * groups; ++i) agg.ingest(stream.next());
 }
 
 // --- ingest -----------------------------------------------------------------
 
-void BM_BeaconIngest_Legacy(benchmark::State& state) {
-  auto groups = static_cast<std::uint32_t>(state.range(0));
-  BeaconStream stream(groups);
-  LegacyGroupBy agg(kMask);
-  prefill(agg, stream, groups);
-  for (auto _ : state) agg.ingest(stream.next());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["groups"] = static_cast<double>(agg.group_count());
-}
-
-void BM_BeaconIngest_Interned(benchmark::State& state) {
-  auto groups = static_cast<std::uint32_t>(state.range(0));
-  BeaconStream stream(groups);
-  telemetry::GroupByAggregator agg(kMask);
-  prefill(agg, stream, groups);
-  for (auto _ : state) agg.ingest(stream.next());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["groups"] = static_cast<double>(agg.group_count());
-}
-
-void BM_WindowedIngest_Legacy(benchmark::State& state) {
-  auto groups = static_cast<std::uint32_t>(state.range(0));
-  BeaconStream stream(groups);
-  LegacyWindowed agg(kMask, 60.0, 6);
-  prefill(agg, stream, groups);
-  for (auto _ : state) agg.ingest(stream.next());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
-void BM_WindowedIngest_Interned(benchmark::State& state) {
+void BM_WindowedIngest(benchmark::State& state) {
   auto groups = static_cast<std::uint32_t>(state.range(0));
   BeaconStream stream(groups);
   telemetry::WindowedAggregator agg(kMask, 60.0, 6);
@@ -228,12 +93,13 @@ void BM_WindowedIngest_Interned(benchmark::State& state) {
 // period) and then reads several full snapshots (A2I report build at two
 // projections, per-CDN buffering, primary-QoE check) plus point queries.
 // Sustained beacons/s through that loop is the pipeline's ingest
-// throughput; the read side is where merge-everything-per-call collapses at
-// high cardinality and the incremental window pays off.
+// throughput; the incremental window keeps the reads O(groups) per tick.
 
-template <typename Agg>
-void pipeline_tick(benchmark::State& state, Agg& agg, BeaconStream& stream,
-                   std::uint32_t groups) {
+void BM_WindowedPipelineTick(benchmark::State& state) {
+  auto groups = static_cast<std::uint32_t>(state.range(0));
+  BeaconStream stream(groups);
+  telemetry::WindowedAggregator agg(kMask, 60.0, 6);
+  prefill(agg, stream, groups);
   Dimensions probe;
   probe.isp = IspId(1);
   probe.cdn = CdnId(1);
@@ -249,31 +115,11 @@ void pipeline_tick(benchmark::State& state, Agg& agg, BeaconStream& stream,
                           groups);
 }
 
-void BM_WindowedPipelineTick_Legacy(benchmark::State& state) {
-  auto groups = static_cast<std::uint32_t>(state.range(0));
-  BeaconStream stream(groups);
-  LegacyWindowed agg(kMask, 60.0, 6);
-  prefill(agg, stream, groups);
-  pipeline_tick(state, agg, stream, groups);
-}
-
-void BM_WindowedPipelineTick_Interned(benchmark::State& state) {
-  auto groups = static_cast<std::uint32_t>(state.range(0));
-  BeaconStream stream(groups);
-  telemetry::WindowedAggregator agg(kMask, 60.0, 6);
-  prefill(agg, stream, groups);
-  pipeline_tick(state, agg, stream, groups);
-}
-
 #define EONA_INGEST_ARGS \
   ArgNames({"groups"})->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)
 
-BENCHMARK(BM_BeaconIngest_Legacy)->EONA_INGEST_ARGS;
-BENCHMARK(BM_BeaconIngest_Interned)->EONA_INGEST_ARGS;
-BENCHMARK(BM_WindowedIngest_Legacy)->EONA_INGEST_ARGS;
-BENCHMARK(BM_WindowedIngest_Interned)->EONA_INGEST_ARGS;
-BENCHMARK(BM_WindowedPipelineTick_Legacy)->EONA_INGEST_ARGS;
-BENCHMARK(BM_WindowedPipelineTick_Interned)->EONA_INGEST_ARGS;
+BENCHMARK(BM_WindowedIngest)->EONA_INGEST_ARGS;
+BENCHMARK(BM_WindowedPipelineTick)->EONA_INGEST_ARGS;
 
 }  // namespace
 

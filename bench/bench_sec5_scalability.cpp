@@ -3,18 +3,16 @@
 // cause serious scalability challenges for the control logic of InfPs".
 //
 // Microbenches of every stage of the pipeline that volume flows through:
-// beacon ingest + group-by, windowed aggregation, quantile sketch updates,
-// the k-anonymity gate, the max-min rate solver, the incremental/batched
-// data plane under flash-crowd churn, and the fluid transfer plane. items/s
-// here extrapolates directly to sessions/day. Results are also written to
-// BENCH_sec5_scalability.json (see json_main.hpp) so the perf trajectory is
-// tracked run over run.
+// windowed beacon aggregation, quantile sketch updates, the max-min rate
+// solver, the incremental/batched data plane under flash-crowd churn, and
+// the fluid transfer plane. items/s here extrapolates directly to
+// sessions/day. Results are also written to BENCH_sec5_scalability.json
+// (see json_main.hpp) so the perf trajectory is tracked run over run.
 #include <benchmark/benchmark.h>
 
 #include "json_main.hpp"
 #include "net/transfer.hpp"
 #include "telemetry/aggregator.hpp"
-#include "telemetry/anonymity.hpp"
 #include "telemetry/collector.hpp"
 #include "telemetry/p2_quantile.hpp"
 #include "sim/rng.hpp"
@@ -39,23 +37,6 @@ telemetry::SessionRecord random_record(sim::Rng& rng, int isps, int cdns,
   r.timestamp = t;
   return r;
 }
-
-void BM_GroupByIngest(benchmark::State& state) {
-  sim::Rng rng(1);
-  telemetry::GroupByAggregator agg(telemetry::Dim::kIsp |
-                                   telemetry::Dim::kCdn);
-  auto isps = static_cast<int>(state.range(0));
-  std::vector<telemetry::SessionRecord> batch;
-  for (int i = 0; i < 4096; ++i)
-    batch.push_back(random_record(rng, isps, 4, 0.0));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    agg.ingest(batch[i++ & 4095]);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["groups"] = static_cast<double>(agg.group_count());
-}
-BENCHMARK(BM_GroupByIngest)->Arg(16)->Arg(256);
 
 void BM_WindowedIngest(benchmark::State& state) {
   sim::Rng rng(2);
@@ -91,20 +72,6 @@ void BM_P2QuantileUpdate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_P2QuantileUpdate);
-
-void BM_KAnonymityGate(benchmark::State& state) {
-  sim::Rng rng(5);
-  telemetry::GroupByAggregator agg(telemetry::Dim::kIsp |
-                                   telemetry::Dim::kCdn |
-                                   telemetry::Dim::kServer);
-  for (int i = 0; i < 200000; ++i)
-    agg.ingest(random_record(rng, 64, 4, 0.0));
-  auto snapshot = agg.snapshot();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(telemetry::k_anonymity_gate(snapshot, 50));
-  state.counters["groups"] = static_cast<double>(snapshot.size());
-}
-BENCHMARK(BM_KAnonymityGate);
 
 /// Max-min solver cost vs flow count on a shared-backbone topology: the
 /// per-change cost of the fluid network model.

@@ -1,18 +1,15 @@
 // Looking-glass walkthrough: the operational surface of the EONA plane.
 //
 // Shows what a provider actually serves and what a peer actually sees:
-// a report rendered as JSON (the human/debug view), the same report on the
-// binary wire, per-peer policy narrowing, injected staleness, and the §5
-// trust auditor catching an InfP that shades the truth.
+// the report's fields, per-peer policy narrowing, injected staleness, and
+// the §5 trust auditor catching an InfP that shades the truth.
 //
 //   $ ./looking_glass_audit
 #include <cstdio>
 
 #include "eona/audit.hpp"
 #include "eona/endpoint.hpp"
-#include "eona/json.hpp"
 #include "eona/registry.hpp"
-#include "eona/wire.hpp"
 
 using namespace eona;
 
@@ -49,15 +46,23 @@ int main() {
   signal.severity = 0.85;
   report.congestion.push_back(signal);
 
-  std::printf("--- the looking glass, human view (JSON) ---\n%s\n\n",
-              core::to_json(report).c_str());
-
-  core::WireBytes frame = core::encode(report);
-  std::printf("--- the same report on the wire: %zu bytes, kind=%s, "
-              "round-trip %s ---\n\n",
-              frame.size(),
-              core::peek_kind(frame) == core::MessageKind::kI2A ? "I2A" : "?",
-              core::decode_i2a(frame) == report ? "intact" : "CORRUPT");
+  std::printf("--- the looking glass: I2A report from provider %u at "
+              "t=%.0f ---\n",
+              report.from.value(), report.generated_at);
+  for (const auto& p : report.peerings)
+    std::printf("  peering %u (isp=%u cdn=%u): capacity=%.0f Mbps "
+                "utilization=%.2f%s%s\n",
+                p.peering.value(), p.isp.value(), p.cdn.value(),
+                p.capacity / 1e6, p.utilization,
+                p.congested ? " congested" : "", p.selected ? " selected" : "");
+  for (const auto& c : report.congestion)
+    std::printf("  congestion: isp=%u scope=%s peering=%u severity=%.2f\n",
+                c.isp.value(),
+                c.scope == core::CongestionScope::kPeering ? "peering"
+                : c.scope == core::CongestionScope::kAccess ? "access"
+                                                            : "backbone",
+                c.peering.value(), c.severity);
+  std::printf("\n");
 
   // --- per-peer policy + staleness --------------------------------------------
   core::I2AEndpoint glass(isp);

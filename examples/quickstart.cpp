@@ -1,8 +1,8 @@
 // Quickstart: the smallest complete EONA world.
 //
 // Builds a two-CDN delivery chain over an access ISP, runs a handful of
-// adaptive video sessions in baseline and EONA modes, and shows the two
-// EONA interfaces in action -- including what actually crosses the wire.
+// adaptive video sessions with EONA control on, and shows the two EONA
+// interfaces in action -- including what the reports carry.
 //
 //   $ ./quickstart
 #include <cstdio>
@@ -12,7 +12,6 @@
 #include "app/video_player.hpp"
 #include "control/appp.hpp"
 #include "control/infp.hpp"
-#include "eona/wire.hpp"
 #include "net/peering.hpp"
 #include "net/transfer.hpp"
 #include "scenarios/common.hpp"
@@ -88,13 +87,10 @@ int main() {
     dims.isp = isp;
     ContentId content(static_cast<ContentId::rep_type>(i % 4));
     sched.schedule_at(5.0 * i, [&, session, dims, content] {
-      pool.spawn([&, session, dims,
-                  content](app::VideoPlayer::DoneCallback done) {
-        return std::make_unique<app::VideoPlayer>(
-            sched, transfers, network, routing, directory, appp.brain(),
-            &appp.collector(), app::PlayerConfig{}, session, dims, client,
-            catalog.item(content), qoe::EngagementModel{}, std::move(done));
-      });
+      pool.spawn_player(sched, transfers, network, routing, directory,
+                        appp.brain(), &appp.collector(), app::PlayerConfig{},
+                        session, dims, client, catalog.item(content),
+                        qoe::EngagementModel{});
     });
   }
 
@@ -128,10 +124,5 @@ int main() {
   std::printf("I2A report: %zu peerings, %zu server hints, %zu signals\n",
               i2a.peerings.size(), i2a.server_hints.size(),
               i2a.congestion.size());
-
-  core::WireBytes frame = core::encode(a2i);
-  core::A2IReport round_trip = core::decode_a2i(frame);
-  std::printf("wire round-trip   : %zu bytes, %s\n", frame.size(),
-              round_trip == a2i ? "intact" : "CORRUPT");
   return 0;
 }

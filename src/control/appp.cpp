@@ -555,8 +555,8 @@ core::A2IReport AppPController::build_a2i_report() const {
     g.cdn = dims.cdn;
     g.server = dims.server;
     g.mean_buffering_ratio = agg.buffering_ratio.mean();
-    // p90 via a normal approximation of the window distribution; the exact
-    // sketch lives in the unwindowed aggregator, but control wants recency.
+    // p90 via a normal approximation of the window distribution: window
+    // aggregates merge exactly, quantile sketches would not.
     double p90 = agg.buffering_ratio.mean() +
                  1.2816 * agg.buffering_ratio.stddev();
     g.p90_buffering_ratio = std::clamp(p90, 0.0, 1.0);

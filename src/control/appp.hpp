@@ -71,7 +71,6 @@ struct AppPConfig {
                                         ///< also "bad QoE" (0 disables)
   Duration primary_dwell = 0.0;     ///< optional dampening on the knob
   // --- A2I export ---
-  std::uint64_t k_anonymity = 5;
   /// Per-session rate the AppP *intends* to deliver (the paper's "traffic
   /// intended to different CDNs"). When > 0, forecasts report
   /// active-session-count * intended_bitrate rather than the (possibly

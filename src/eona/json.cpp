@@ -360,259 +360,4 @@ JsonValue JsonValue::parse(const std::string& text) {
   return Parser(text).run();
 }
 
-// ---------------------------------------------------------------------------
-// Report <-> JSON
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Invalid ids serialise as null so wildcards survive the round trip.
-template <typename IdType>
-JsonValue id_to_json(IdType id) {
-  if (!id.valid()) return JsonValue{};
-  return JsonValue::number(static_cast<double>(id.value()));
-}
-
-template <typename IdType>
-IdType id_from_json(const JsonValue& v) {
-  if (v.is_null()) return IdType{};
-  auto raw = v.as_number();
-  if (raw < 0) throw CodecError("json: negative id");
-  return IdType(static_cast<typename IdType::rep_type>(raw));
-}
-
-}  // namespace
-
-std::string to_json(const A2IReport& report, int indent) {
-  JsonValue root = JsonValue::object();
-  root.set("kind", JsonValue::string("a2i"));
-  root.set("from", id_to_json(report.from));
-  root.set("generated_at", JsonValue::number(report.generated_at));
-  JsonValue groups = JsonValue::array();
-  for (const auto& g : report.groups) {
-    JsonValue item = JsonValue::object();
-    item.set("isp", id_to_json(g.isp));
-    item.set("cdn", id_to_json(g.cdn));
-    item.set("server", id_to_json(g.server));
-    item.set("mean_buffering_ratio", JsonValue::number(g.mean_buffering_ratio));
-    item.set("p90_buffering_ratio", JsonValue::number(g.p90_buffering_ratio));
-    item.set("mean_bitrate", JsonValue::number(g.mean_bitrate));
-    item.set("mean_join_time", JsonValue::number(g.mean_join_time));
-    item.set("mean_engagement", JsonValue::number(g.mean_engagement));
-    item.set("sessions", JsonValue::number(static_cast<double>(g.sessions)));
-    groups.push_back(std::move(item));
-  }
-  root.set("groups", std::move(groups));
-  JsonValue forecasts = JsonValue::array();
-  for (const auto& f : report.forecasts) {
-    JsonValue item = JsonValue::object();
-    item.set("isp", id_to_json(f.isp));
-    item.set("cdn", id_to_json(f.cdn));
-    item.set("expected_rate", JsonValue::number(f.expected_rate));
-    forecasts.push_back(std::move(item));
-  }
-  root.set("forecasts", std::move(forecasts));
-  return root.dump(indent);
-}
-
-A2IReport a2i_from_json(const std::string& text) {
-  JsonValue root = JsonValue::parse(text);
-  if (root.at("kind").as_string() != "a2i")
-    throw CodecError("json: not an a2i report");
-  A2IReport report;
-  report.from = id_from_json<ProviderId>(root.at("from"));
-  report.generated_at = root.at("generated_at").as_number();
-  for (const auto& item : root.at("groups").as_array()) {
-    QoeGroupReport g;
-    g.isp = id_from_json<IspId>(item.at("isp"));
-    g.cdn = id_from_json<CdnId>(item.at("cdn"));
-    g.server = id_from_json<ServerId>(item.at("server"));
-    g.mean_buffering_ratio = item.at("mean_buffering_ratio").as_number();
-    g.p90_buffering_ratio = item.at("p90_buffering_ratio").as_number();
-    g.mean_bitrate = item.at("mean_bitrate").as_number();
-    g.mean_join_time = item.at("mean_join_time").as_number();
-    g.mean_engagement = item.at("mean_engagement").as_number();
-    g.sessions = static_cast<std::uint64_t>(item.at("sessions").as_number());
-    report.groups.push_back(g);
-  }
-  for (const auto& item : root.at("forecasts").as_array()) {
-    TrafficForecast f;
-    f.isp = id_from_json<IspId>(item.at("isp"));
-    f.cdn = id_from_json<CdnId>(item.at("cdn"));
-    f.expected_rate = item.at("expected_rate").as_number();
-    report.forecasts.push_back(f);
-  }
-  return report;
-}
-
-std::string to_json(const I2AReport& report, int indent) {
-  JsonValue root = JsonValue::object();
-  root.set("kind", JsonValue::string("i2a"));
-  root.set("from", id_to_json(report.from));
-  root.set("generated_at", JsonValue::number(report.generated_at));
-  JsonValue peerings = JsonValue::array();
-  for (const auto& p : report.peerings) {
-    JsonValue item = JsonValue::object();
-    item.set("peering", id_to_json(p.peering));
-    item.set("isp", id_to_json(p.isp));
-    item.set("cdn", id_to_json(p.cdn));
-    item.set("capacity", JsonValue::number(p.capacity));
-    item.set("utilization", JsonValue::number(p.utilization));
-    item.set("congested", JsonValue::boolean(p.congested));
-    item.set("selected", JsonValue::boolean(p.selected));
-    peerings.push_back(std::move(item));
-  }
-  root.set("peerings", std::move(peerings));
-  JsonValue hints = JsonValue::array();
-  for (const auto& h : report.server_hints) {
-    JsonValue item = JsonValue::object();
-    item.set("cdn", id_to_json(h.cdn));
-    item.set("server", id_to_json(h.server));
-    item.set("load", JsonValue::number(h.load));
-    item.set("online", JsonValue::boolean(h.online));
-    hints.push_back(std::move(item));
-  }
-  root.set("server_hints", std::move(hints));
-  JsonValue congestion = JsonValue::array();
-  for (const auto& c : report.congestion) {
-    JsonValue item = JsonValue::object();
-    item.set("isp", id_to_json(c.isp));
-    const char* scope = c.scope == CongestionScope::kAccess ? "access"
-                        : c.scope == CongestionScope::kPeering ? "peering"
-                                                               : "backbone";
-    item.set("scope", JsonValue::string(scope));
-    item.set("peering", id_to_json(c.peering));
-    item.set("severity", JsonValue::number(c.severity));
-    congestion.push_back(std::move(item));
-  }
-  root.set("congestion", std::move(congestion));
-  return root.dump(indent);
-}
-
-I2AReport i2a_from_json(const std::string& text) {
-  JsonValue root = JsonValue::parse(text);
-  if (root.at("kind").as_string() != "i2a")
-    throw CodecError("json: not an i2a report");
-  I2AReport report;
-  report.from = id_from_json<ProviderId>(root.at("from"));
-  report.generated_at = root.at("generated_at").as_number();
-  for (const auto& item : root.at("peerings").as_array()) {
-    PeeringStatus p;
-    p.peering = id_from_json<PeeringId>(item.at("peering"));
-    p.isp = id_from_json<IspId>(item.at("isp"));
-    p.cdn = id_from_json<CdnId>(item.at("cdn"));
-    p.capacity = item.at("capacity").as_number();
-    p.utilization = item.at("utilization").as_number();
-    p.congested = item.at("congested").as_bool();
-    p.selected = item.at("selected").as_bool();
-    report.peerings.push_back(p);
-  }
-  for (const auto& item : root.at("server_hints").as_array()) {
-    ServerHint h;
-    h.cdn = id_from_json<CdnId>(item.at("cdn"));
-    h.server = id_from_json<ServerId>(item.at("server"));
-    h.load = item.at("load").as_number();
-    h.online = item.at("online").as_bool();
-    report.server_hints.push_back(h);
-  }
-  for (const auto& item : root.at("congestion").as_array()) {
-    CongestionSignal c;
-    c.isp = id_from_json<IspId>(item.at("isp"));
-    const std::string& scope = item.at("scope").as_string();
-    if (scope == "access") c.scope = CongestionScope::kAccess;
-    else if (scope == "peering") c.scope = CongestionScope::kPeering;
-    else if (scope == "backbone") c.scope = CongestionScope::kBackbone;
-    else throw CodecError("json: bad congestion scope '" + scope + "'");
-    c.peering = id_from_json<PeeringId>(item.at("peering"));
-    c.severity = item.at("severity").as_number();
-    report.congestion.push_back(c);
-  }
-  return report;
-}
-
-std::string to_json(const FaultProfile& fault, int indent) {
-  JsonValue root = JsonValue::object();
-  root.set("kind", JsonValue::string("fault_profile"));
-  root.set("drop_rate", JsonValue::number(fault.drop_rate));
-  root.set("duplicate_rate", JsonValue::number(fault.duplicate_rate));
-  root.set("max_extra_delay", JsonValue::number(fault.max_extra_delay));
-  root.set("seed", JsonValue::number(static_cast<double>(fault.seed)));
-  JsonValue outages = JsonValue::array();
-  for (const auto& w : fault.outages) {
-    JsonValue item = JsonValue::object();
-    item.set("start", JsonValue::number(w.start));
-    item.set("end", JsonValue::number(w.end));
-    outages.push_back(std::move(item));
-  }
-  root.set("outages", std::move(outages));
-  return root.dump(indent);
-}
-
-FaultProfile fault_profile_from_json(const std::string& text) {
-  JsonValue root = JsonValue::parse(text);
-  if (root.at("kind").as_string() != "fault_profile")
-    throw CodecError("json: not a fault profile");
-  FaultProfile fault;
-  fault.drop_rate = root.at("drop_rate").as_number();
-  fault.duplicate_rate = root.at("duplicate_rate").as_number();
-  fault.max_extra_delay = root.at("max_extra_delay").as_number();
-  double seed = root.at("seed").as_number();
-  if (seed < 0.0) throw CodecError("json: negative seed");
-  fault.seed = static_cast<std::uint64_t>(seed);
-  for (const auto& item : root.at("outages").as_array()) {
-    OutageWindow w;
-    w.start = item.at("start").as_number();
-    w.end = item.at("end").as_number();
-    fault.outages.push_back(w);
-  }
-  fault.validate();  // ConfigError on semantically invalid profiles
-  return fault;
-}
-
-std::string to_json(const telemetry::DeliveryHealthSnapshot& h, int indent) {
-  JsonValue root = JsonValue::object();
-  root.set("kind", JsonValue::string("delivery_health"));
-  auto count = [](std::uint64_t v) {
-    return JsonValue::number(static_cast<double>(v));
-  };
-  root.set("publishes", count(h.publishes));
-  root.set("deliveries", count(h.deliveries));
-  root.set("drops", count(h.drops));
-  root.set("duplicates", count(h.duplicates));
-  root.set("fetch_attempts", count(h.fetch_attempts));
-  root.set("retries", count(h.retries));
-  root.set("fresh_hits", count(h.fresh_hits));
-  root.set("stale_hits", count(h.stale_hits));
-  root.set("misses", count(h.misses));
-  root.set("stale_serves", count(h.stale_serves));
-  root.set("staleness_p90", JsonValue::number(h.staleness_p90));
-  return root.dump(indent);
-}
-
-telemetry::DeliveryHealthSnapshot delivery_health_from_json(
-    const std::string& text) {
-  JsonValue root = JsonValue::parse(text);
-  if (root.at("kind").as_string() != "delivery_health")
-    throw CodecError("json: not a delivery-health snapshot");
-  auto count = [&](const char* key) {
-    double v = root.at(key).as_number();
-    if (v < 0.0) throw CodecError(std::string("json: negative count ") + key);
-    return static_cast<std::uint64_t>(v);
-  };
-  telemetry::DeliveryHealthSnapshot h;
-  h.publishes = count("publishes");
-  h.deliveries = count("deliveries");
-  h.drops = count("drops");
-  h.duplicates = count("duplicates");
-  h.fetch_attempts = count("fetch_attempts");
-  h.retries = count("retries");
-  h.fresh_hits = count("fresh_hits");
-  h.stale_hits = count("stale_hits");
-  h.misses = count("misses");
-  h.stale_serves = count("stale_serves");
-  h.staleness_p90 = root.at("staleness_p90").as_number();
-  if (h.staleness_p90 < 0.0) throw CodecError("json: negative staleness_p90");
-  return h;
-}
-
 }  // namespace eona::core

@@ -1,10 +1,8 @@
-// Human-readable JSON codec for EONA reports.
-//
-// The binary wire format (wire.hpp) is what crosses the A2I/I2A boundary in
-// volume; the JSON form is what a "looking glass" serves to humans and
-// debugging tools (the paper imagines queryable looking-glass servers).
-// Self-contained: a minimal JSON value model + parser sufficient for the
-// report schema, with strict validation (CodecError on malformed input).
+// Minimal JSON value model: the lab tool, the sweep collator and the benches
+// build their results as JsonValues and print them with dump().
+// Self-contained: null/bool/number/string/array/object plus a strict parser
+// (CodecError on malformed input or trailing garbage). Objects are sorted
+// maps, so dump() output is byte-stable.
 #pragma once
 
 #include <map>
@@ -13,9 +11,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "eona/fault.hpp"
-#include "eona/messages.hpp"
-#include "telemetry/delivery_health.hpp"
 
 namespace eona::core {
 
@@ -63,24 +58,5 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
 };
-
-/// Report <-> JSON. Round-trip safe for all field values the schema allows.
-[[nodiscard]] std::string to_json(const A2IReport& report, int indent = 2);
-[[nodiscard]] std::string to_json(const I2AReport& report, int indent = 2);
-[[nodiscard]] A2IReport a2i_from_json(const std::string& text);
-[[nodiscard]] I2AReport i2a_from_json(const std::string& text);
-
-/// Fault profile <-> JSON (lab configs). Decoding runs FaultProfile::
-/// validate(), so malformed input (negative drop rate, inverted or
-/// overlapping outage windows, ...) throws ConfigError; structurally bad
-/// JSON throws CodecError.
-[[nodiscard]] std::string to_json(const FaultProfile& fault, int indent = 2);
-[[nodiscard]] FaultProfile fault_profile_from_json(const std::string& text);
-
-/// Delivery-health snapshot <-> JSON (what the lab tool prints).
-[[nodiscard]] std::string to_json(const telemetry::DeliveryHealthSnapshot& h,
-                                  int indent = 2);
-[[nodiscard]] telemetry::DeliveryHealthSnapshot delivery_health_from_json(
-    const std::string& text);
 
 }  // namespace eona::core

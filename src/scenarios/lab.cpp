@@ -89,7 +89,23 @@ core::JsonValue qoe_json(const QoeSummary& qoe) {
 }
 
 core::JsonValue health_json(const telemetry::DeliveryHealthSnapshot& h) {
-  return core::JsonValue::parse(core::to_json(h, 0));
+  auto count = [](std::uint64_t v) {
+    return core::JsonValue::number(static_cast<double>(v));
+  };
+  core::JsonValue obj = core::JsonValue::object();
+  obj.set("kind", core::JsonValue::string("delivery_health"));
+  obj.set("publishes", count(h.publishes));
+  obj.set("deliveries", count(h.deliveries));
+  obj.set("drops", count(h.drops));
+  obj.set("duplicates", count(h.duplicates));
+  obj.set("fetch_attempts", count(h.fetch_attempts));
+  obj.set("retries", count(h.retries));
+  obj.set("fresh_hits", count(h.fresh_hits));
+  obj.set("stale_hits", count(h.stale_hits));
+  obj.set("misses", count(h.misses));
+  obj.set("stale_serves", count(h.stale_serves));
+  obj.set("staleness_p90", core::JsonValue::number(h.staleness_p90));
+  return obj;
 }
 
 core::JsonValue run_flashcrowd(Overrides& ov, sim::MetricSet* series_out,

@@ -1,7 +1,7 @@
 // Mergeable aggregate of session metrics: the unit the pipeline stores per
-// group and per window bucket. Exact and O(1)-mergeable (Welford/Chan);
-// quantile sketches, which do not merge exactly, live at the query layer
-// (GroupByAggregator).
+// group and per window bucket. Exact and O(1)-mergeable (Welford/Chan).
+// Quantile sketches do not merge exactly, so none are kept here: the AppP
+// approximates a window's p90 from its mean and deviation.
 #pragma once
 
 #include <cstdint>

@@ -1,20 +1,16 @@
-// Group-by aggregation: the "big data platform" stand-in.
+// Time-windowed group-by aggregation: the "big data platform" stand-in
+// behind the AppP's A2I reports.
 //
-// Both aggregators intern dimension tuples into dense GroupIds once
-// (interner.hpp) and keep their per-group state in sharded flat tables
-// keyed by those ids (group_table.hpp), so the per-beacon ingest path is
-// one packed-key hash plus integer-indexed array updates -- no per-beacon
-// struct hashing or node allocation.
-//
-// GroupByAggregator keys incoming beacons by a projection of their
-// dimensions (e.g. per (ISP, CDN)) and maintains a mergeable aggregate plus
-// median/p90 buffering-ratio sketches per group. WindowedAggregator adds a
-// rotating time-bucket ring so queries cover only the recent past -- the
-// freshness the A2I interface exports -- and maintains the window merge
-// incrementally: a per-group prefix aggregate over all live buckets except
-// the newest is cached and refolded only when the window position moves, so
-// query() is O(1) and snapshot() is O(groups) amortized instead of
-// O(buckets x groups) per call.
+// WindowedAggregator interns dimension tuples into dense GroupIds once
+// (interner.hpp) and keeps its per-group state in sharded flat tables keyed
+// by those ids (group_table.hpp), so the per-beacon ingest path is one
+// packed-key hash plus integer-indexed array updates -- no per-beacon
+// struct hashing or node allocation. A rotating time-bucket ring keeps
+// queries to the recent past -- the freshness the A2I interface exports --
+// and the window merge is maintained incrementally: a per-group prefix
+// aggregate over all live buckets except the newest is cached and refolded
+// only when the window position moves, so query() is O(1) and snapshot() is
+// O(groups) amortized instead of O(buckets x groups) per call.
 //
 // Canonical merge semantics (and the contract the property test pins
 // against a from-scratch oracle, bit for bit): a group's windowed aggregate
@@ -38,69 +34,9 @@
 #include "telemetry/aggregate.hpp"
 #include "telemetry/group_table.hpp"
 #include "telemetry/interner.hpp"
-#include "telemetry/p2_quantile.hpp"
 #include "telemetry/session_record.hpp"
 
 namespace eona::telemetry {
-
-/// Unwindowed group-by over a fixed projection mask.
-class GroupByAggregator {
- public:
-  explicit GroupByAggregator(Dim mask) : interner_(mask) {}
-
-  void ingest(const SessionRecord& record) {
-    GroupId id = interner_.intern(record.dims);
-    Group& group = groups_.at(id);
-    group.aggregate.add(record.metrics);
-    group.buffering_p50.add(record.metrics.buffering_ratio);
-    group.buffering_p90.add(record.metrics.buffering_ratio);
-  }
-
-  [[nodiscard]] Dim mask() const { return interner_.mask(); }
-  [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
-
-  [[nodiscard]] const MetricAggregate* find(const Dimensions& dims) const {
-    const Group* group = groups_.find(interner_.find(dims));
-    return group == nullptr ? nullptr : &group->aggregate;
-  }
-
-  /// p50/p90 buffering ratio estimates for a group; {0,0} when unseen.
-  [[nodiscard]] std::pair<double, double> buffering_percentiles(
-      const Dimensions& dims) const {
-    const Group* group = groups_.find(interner_.find(dims));
-    if (group == nullptr || group->buffering_p50.empty()) return {0.0, 0.0};
-    return {group->buffering_p50.value(), group->buffering_p90.value()};
-  }
-
-  /// Deterministically ordered snapshot of all groups.
-  [[nodiscard]] std::vector<std::pair<Dimensions, MetricAggregate>> snapshot()
-      const {
-    std::vector<std::pair<Dimensions, MetricAggregate>> result;
-    result.reserve(groups_.size());
-    groups_.for_each([&](GroupId id, const Group& group) {
-      result.emplace_back(interner_.dims_of(id), group.aggregate);
-    });
-    std::sort(result.begin(), result.end(), [](const auto& a, const auto& b) {
-      return dim_order(a.first, b.first);
-    });
-    return result;
-  }
-
-  void clear() {
-    interner_ = DimensionInterner(interner_.mask());
-    groups_.clear();
-  }
-
- private:
-  struct Group {
-    MetricAggregate aggregate;
-    P2Quantile buffering_p50{0.5};
-    P2Quantile buffering_p90{0.9};
-  };
-
-  DimensionInterner interner_;
-  ShardedGroupTable<Group> groups_;
-};
 
 /// Time-windowed group-by: a ring of bucket tables covering the trailing
 /// window, with an incrementally maintained per-group merge (see file

@@ -9,10 +9,9 @@
 // unit for future parallel merging; entries stay contiguous per shard so
 // iteration is cache-friendly.
 //
-// Used by both GroupByAggregator (dense: every interned group present) and
-// WindowedAggregator's ring buckets (sparse: only groups seen in that time
-// slice), which is why present-entry iteration and O(present) clearing both
-// matter.
+// Used by WindowedAggregator's ring buckets, each sparse (only the groups
+// seen in that time slice), which is why present-entry iteration and
+// O(present) clearing matter.
 #pragma once
 
 #include <array>
@@ -69,14 +68,6 @@ class ShardedGroupTable {
   /// insertion order. Lets mergers walk shard-compact id ranges.
   [[nodiscard]] const std::vector<Entry>& shard_entries(std::size_t s) const {
     return shards_[s].entries;
-  }
-
-  /// Visit every present entry (shard-major, insertion order within a
-  /// shard). Deterministic for a given insert sequence.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const Shard& shard : shards_)
-      for (const Entry& e : shard.entries) fn(e.group, e.value);
   }
 
   /// Drop all entries; touches only slots that were actually occupied, so

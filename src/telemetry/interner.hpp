@@ -5,9 +5,8 @@
 // dense GroupId exactly once. Hot-path cost per beacon is one hash of a
 // packed 16-byte key plus a linear probe of a flat open-addressing table --
 // no node allocation, no bucket chasing, no equality on a padded struct.
-// Everything downstream (group tables, window buckets, prefix caches, wire
-// dictionaries) then works on small dense integers instead of re-hashing
-// full structs.
+// Everything downstream (group tables, window buckets, prefix caches) then
+// works on small dense integers instead of re-hashing full structs.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +28,6 @@ class DimensionInterner {
  public:
   explicit DimensionInterner(Dim mask) : mask_(mask) { rehash(kMinCapacity); }
 
-  [[nodiscard]] Dim mask() const { return mask_; }
   [[nodiscard]] std::size_t size() const { return dims_.size(); }
 
   /// Id for `dims` (projected through the mask), interning on first sight.

@@ -34,7 +34,6 @@ class AppPTest : public ::testing::Test {
 
     AppPConfig config;
     config.qoe_window = 60.0;
-    config.k_anonymity = 1;
     config.bad_qoe_buffering = 0.10;
     appp.emplace(sched, *network, directory, ProviderId(0), config);
   }

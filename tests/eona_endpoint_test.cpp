@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <utility>
+#include <vector>
+
 #include "eona/channel.hpp"
 #include "eona/registry.hpp"
 #include "eona/robust.hpp"
@@ -132,6 +136,51 @@ TEST(A2IPolicy, KAnonymityFiltersGroups) {
   A2IReport filtered = policy.apply(report);
   EXPECT_TRUE(filtered.groups.empty());
   EXPECT_EQ(filtered.forecasts.size(), report.forecasts.size());
+}
+
+/// A report with one CDN-level group per entry: (isp, sessions).
+A2IReport groups_report(
+    std::initializer_list<std::pair<std::uint32_t, std::uint64_t>> groups) {
+  A2IReport r;
+  r.from = ProviderId(0);
+  for (auto [isp, sessions] : groups) {
+    QoeGroupReport g;
+    g.isp = IspId(isp);
+    g.cdn = CdnId(0);
+    g.sessions = sessions;
+    r.groups.push_back(g);
+  }
+  return r;
+}
+
+std::vector<IspId> isps_of(const A2IReport& r) {
+  std::vector<IspId> isps;
+  for (const auto& g : r.groups) isps.push_back(g.isp);
+  return isps;
+}
+
+TEST(A2IPolicy, KAnonymityKeepsGroupsOfExactlyK) {
+  A2IPolicy policy;
+  policy.k_anonymity = 5;
+  A2IReport filtered = policy.apply(groups_report({{0, 5}, {1, 4}, {2, 6}}));
+  EXPECT_EQ(isps_of(filtered), (std::vector<IspId>{IspId(0), IspId(2)}));
+}
+
+TEST(A2IPolicy, KAnonymityOfOneKeepsEveryNonEmptyGroup) {
+  A2IPolicy policy;
+  ASSERT_EQ(policy.k_anonymity, 1u);  // the default floor
+  A2IReport filtered =
+      policy.apply(groups_report({{0, 1}, {1, 100}, {2, 0}}));
+  EXPECT_EQ(isps_of(filtered), (std::vector<IspId>{IspId(0), IspId(1)}));
+}
+
+TEST(A2IPolicy, KAnonymityKeepsSurvivorsInReportOrder) {
+  A2IPolicy policy;
+  policy.k_anonymity = 2;
+  A2IReport filtered =
+      policy.apply(groups_report({{3, 10}, {1, 10}, {2, 1}, {0, 10}}));
+  EXPECT_EQ(isps_of(filtered),
+            (std::vector<IspId>{IspId(3), IspId(1), IspId(0)}));
 }
 
 TEST(A2IPolicy, ServerLevelGroupsNeedExplicitSharing) {

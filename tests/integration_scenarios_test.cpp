@@ -7,6 +7,7 @@
 #include "scenarios/coarse_control.hpp"
 #include "scenarios/energy.hpp"
 #include "scenarios/flashcrowd.hpp"
+#include "scenarios/lab.hpp"
 #include "scenarios/oscillation.hpp"
 
 namespace eona::scenarios {
@@ -179,6 +180,49 @@ TEST(CellularWebShape, KAnonymitySuppressesThinSectors) {
   config.k_anonymity = 10000;  // absurd floor: everything suppressed
   CellularWebResult result = run_cellular_web(config);
   EXPECT_EQ(result.suppressed_sectors, 8u);
+}
+
+// --- the lab tool's delivery-health blocks ------------------------------------
+
+/// Each health block must be the snapshot the run produced, field for field.
+void expect_health_block(const core::JsonValue& block,
+                         const telemetry::DeliveryHealthSnapshot& h) {
+  EXPECT_EQ(block.as_object().size(), 12u);  // kind + 11 fields
+  EXPECT_EQ(block.at("kind").as_string(), "delivery_health");
+  auto count = [&](const char* key) {
+    return static_cast<std::uint64_t>(block.at(key).as_number());
+  };
+  EXPECT_EQ(count("publishes"), h.publishes);
+  EXPECT_EQ(count("deliveries"), h.deliveries);
+  EXPECT_EQ(count("drops"), h.drops);
+  EXPECT_EQ(count("duplicates"), h.duplicates);
+  EXPECT_EQ(count("fetch_attempts"), h.fetch_attempts);
+  EXPECT_EQ(count("retries"), h.retries);
+  EXPECT_EQ(count("fresh_hits"), h.fresh_hits);
+  EXPECT_EQ(count("stale_hits"), h.stale_hits);
+  EXPECT_EQ(count("misses"), h.misses);
+  EXPECT_EQ(count("stale_serves"), h.stale_serves);
+  EXPECT_EQ(block.at("staleness_p90").as_number(), h.staleness_p90);
+}
+
+TEST(LabJson, FlashCrowdHealthBlocksMatchTheRunSnapshots) {
+  // A lossy I2A leg, so the drop and duplicate counts are non-zero too.
+  FlashCrowdConfig config;
+  config.mode = ControlMode::kEona;
+  config.run_duration = 240.0;
+  config.i2a_fault.drop_rate = 0.3;
+  config.i2a_fault.duplicate_rate = 0.2;
+  FlashCrowdResult direct = run_flash_crowd(config);
+  ASSERT_GT(direct.i2a_health.drops, 0u);
+  ASSERT_GT(direct.i2a_health.duplicates, 0u);
+
+  core::JsonValue lab = run_scenario_json(
+      "flashcrowd", {{"mode", "eona"},
+                     {"run_duration", "240"},
+                     {"i2a_drop", "0.3"},
+                     {"i2a_duplicate", "0.2"}});
+  expect_health_block(lab.at("i2a_health"), direct.i2a_health);
+  expect_health_block(lab.at("a2i_health"), direct.a2i_health);
 }
 
 // --- determinism across the board ------------------------------------------------------

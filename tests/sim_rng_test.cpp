@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 namespace eona::sim {
@@ -102,6 +103,10 @@ struct MeanCase {
   double tolerance;
   double (*draw)(Rng&);
 };
+
+// Print a case by its name: gtest's default dump of the raw bytes would put
+// the `name` pointer, which moves with ASLR, into the discovered test name.
+void PrintTo(const MeanCase& c, std::ostream* os) { *os << c.name; }
 
 class RngMeanTest : public ::testing::TestWithParam<MeanCase> {};
 

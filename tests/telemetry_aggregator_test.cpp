@@ -1,10 +1,9 @@
-// Tests for the aggregation pipeline: dimension projection, group-by,
-// windowed expiry, the beacon collector, and the k-anonymity gate.
+// Tests for the aggregation pipeline: dimension projection, windowed
+// expiry, and the beacon collector.
 #include "telemetry/aggregator.hpp"
 
 #include <gtest/gtest.h>
 
-#include "telemetry/anonymity.hpp"
 #include "telemetry/collector.hpp"
 
 namespace eona::telemetry {
@@ -35,53 +34,6 @@ TEST(Dimensions, ProjectionKeepsOnlyMaskedColumns) {
   EXPECT_EQ(key.cdn, CdnId(2));
   EXPECT_FALSE(key.server.valid());
   EXPECT_EQ(key.region, 0u);
-}
-
-TEST(GroupByAggregator, GroupsByProjectedKey) {
-  GroupByAggregator agg(Dim::kIsp | Dim::kCdn);
-  agg.ingest(make_record(1, IspId(0), CdnId(0), ServerId(0), 0.1, 0.0));
-  agg.ingest(make_record(2, IspId(0), CdnId(0), ServerId(1), 0.3, 1.0));
-  agg.ingest(make_record(3, IspId(0), CdnId(1), ServerId(2), 0.5, 2.0));
-  EXPECT_EQ(agg.group_count(), 2u);  // server is projected away
-
-  Dimensions probe;
-  probe.isp = IspId(0);
-  probe.cdn = CdnId(0);
-  const MetricAggregate* group = agg.find(probe);
-  ASSERT_NE(group, nullptr);
-  EXPECT_EQ(group->records, 2u);
-  EXPECT_NEAR(group->buffering_ratio.mean(), 0.2, 1e-12);
-}
-
-TEST(GroupByAggregator, SnapshotIsSortedDeterministically) {
-  GroupByAggregator agg(Dim::kIsp | Dim::kCdn);
-  agg.ingest(make_record(1, IspId(1), CdnId(1), ServerId{}, 0.1, 0.0));
-  agg.ingest(make_record(2, IspId(0), CdnId(1), ServerId{}, 0.1, 0.0));
-  agg.ingest(make_record(3, IspId(0), CdnId(0), ServerId{}, 0.1, 0.0));
-  auto snapshot = agg.snapshot();
-  ASSERT_EQ(snapshot.size(), 3u);
-  EXPECT_EQ(snapshot[0].first.isp, IspId(0));
-  EXPECT_EQ(snapshot[0].first.cdn, CdnId(0));
-  EXPECT_EQ(snapshot[2].first.isp, IspId(1));
-}
-
-TEST(GroupByAggregator, BufferingPercentilesPerGroup) {
-  GroupByAggregator agg(Dim::kCdn);
-  Dimensions dims;
-  dims.cdn = CdnId(0);
-  for (int i = 1; i <= 100; ++i) {
-    SessionRecord r = make_record(static_cast<std::uint64_t>(i), IspId(0),
-                                  CdnId(0), ServerId{}, i / 100.0, 0.0);
-    agg.ingest(r);
-  }
-  auto [p50, p90] = agg.buffering_percentiles(dims);
-  EXPECT_NEAR(p50, 0.5, 0.1);
-  EXPECT_NEAR(p90, 0.9, 0.1);
-  Dimensions unseen;
-  unseen.cdn = CdnId(9);
-  auto [u50, u90] = agg.buffering_percentiles(unseen);
-  EXPECT_EQ(u50, 0.0);
-  EXPECT_EQ(u90, 0.0);
 }
 
 TEST(WindowedAggregator, QueriesCoverOnlyTheTrailingWindow) {
@@ -139,28 +91,6 @@ TEST(BeaconCollector, FansOutToSinksInOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(collector.beacon_count(), 1u);
   EXPECT_DOUBLE_EQ(collector.total_bits_reported(), 5e6);
-}
-
-TEST(KAnonymityGate, SuppressesSmallGroups) {
-  GroupByAggregator agg(Dim::kCdn);
-  for (int i = 0; i < 10; ++i)
-    agg.ingest(make_record(static_cast<std::uint64_t>(i), IspId(0), CdnId(0),
-                           ServerId{}, 0.1, 0.0));
-  agg.ingest(make_record(99, IspId(0), CdnId(1), ServerId{}, 0.9, 0.0));
-
-  GatedSnapshot gated = k_anonymity_gate(agg.snapshot(), 5);
-  ASSERT_EQ(gated.groups.size(), 1u);
-  EXPECT_EQ(gated.groups[0].first.cdn, CdnId(0));
-  EXPECT_EQ(gated.suppressed_groups, 1u);
-  EXPECT_EQ(gated.suppressed_records, 1u);
-}
-
-TEST(KAnonymityGate, KOneKeepsEverything) {
-  GroupByAggregator agg(Dim::kCdn);
-  agg.ingest(make_record(1, IspId(0), CdnId(0), ServerId{}, 0.1, 0.0));
-  GatedSnapshot gated = k_anonymity_gate(agg.snapshot(), 1);
-  EXPECT_EQ(gated.groups.size(), 1u);
-  EXPECT_EQ(gated.suppressed_groups, 0u);
 }
 
 }  // namespace

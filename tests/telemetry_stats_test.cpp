@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -103,6 +104,10 @@ struct QuantileCase {
   double exact;       ///< analytic quantile
   double tolerance;   ///< absolute
 };
+
+// Print a case by its name: gtest's default dump of the raw bytes would put
+// the `name` pointer, which moves with ASLR, into the discovered test name.
+void PrintTo(const QuantileCase& c, std::ostream* os) { *os << c.name; }
 
 class P2AccuracyTest : public ::testing::TestWithParam<QuantileCase> {};
 
