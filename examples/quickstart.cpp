@@ -94,6 +94,13 @@ int main() {
     });
   }
 
+  // Take the interface reports mid-run: the AppP aggregates QoE over a
+  // 60 s window, and every session has left it by the end of the run.
+  constexpr TimePoint kReportAt = 60.0;
+  sched.run_until(kReportAt);
+  core::A2IReport a2i = appp.build_a2i_report();
+  core::I2AReport i2a = infp.build_i2a_report();
+
   sched.run_until(180.0);
   pool.abort_all();
   sched.run_until(181.0);
@@ -109,11 +116,9 @@ int main() {
               static_cast<unsigned long long>(
                   appp.collector().beacon_count()));
 
-  // --- 6. what crossed the EONA interfaces -----------------------------------
-  core::A2IReport a2i = appp.build_a2i_report();
-  core::I2AReport i2a = infp.build_i2a_report();
-  std::printf("\nA2I report: %zu QoE groups, %zu forecasts\n",
-              a2i.groups.size(), a2i.forecasts.size());
+  // --- 6. what crossed the EONA interfaces (at t = kReportAt) ---------------
+  std::printf("\nA2I report at t=%.0f s: %zu QoE groups, %zu forecasts\n",
+              kReportAt, a2i.groups.size(), a2i.forecasts.size());
   for (const auto& g : a2i.groups) {
     if (g.server.valid()) continue;
     std::printf("  isp=%u cdn=%u  buffering=%.4f bitrate=%.2fMbps n=%llu\n",
@@ -121,8 +126,9 @@ int main() {
                 g.mean_bitrate / 1e6,
                 static_cast<unsigned long long>(g.sessions));
   }
-  std::printf("I2A report: %zu peerings, %zu server hints, %zu signals\n",
-              i2a.peerings.size(), i2a.server_hints.size(),
+  std::printf("I2A report at t=%.0f s: %zu peerings, %zu server hints, "
+              "%zu signals\n",
+              kReportAt, i2a.peerings.size(), i2a.server_hints.size(),
               i2a.congestion.size());
   return 0;
 }

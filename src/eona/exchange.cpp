@@ -36,7 +36,7 @@ void Exchange::register_infp(ProviderId id) {
 }
 
 void Exchange::unregister_appp(ProviderId id) {
-  require_appp(id);
+  (void)require_appp(id);
   for (auto it = links_.begin(); it != links_.end();) {
     if (it->first.first == id) {
       close_a2i_leg(it->first.first, it->first.second);
@@ -50,7 +50,7 @@ void Exchange::unregister_appp(ProviderId id) {
 }
 
 void Exchange::unregister_infp(ProviderId id) {
-  require_infp(id);
+  (void)require_infp(id);
   for (auto it = links_.begin(); it != links_.end();) {
     if (it->first.second == id) {
       close_a2i_leg(it->first.first, it->first.second);
@@ -132,8 +132,8 @@ void Exchange::close_i2a_leg(ProviderId appp, ProviderId infp) {
 }
 
 void Exchange::wire(ProviderId appp, ProviderId infp, const TenantLink& link) {
-  require_appp(appp);
-  require_infp(infp);
+  (void)require_appp(appp);
+  (void)require_infp(infp);
   // Same sequence as the pre-broker scenarios::wire_eona helper: mint the
   // A2I token and open that leg, then the I2A token and leg. Trust-level
   // redaction composes onto the configured base policies here, once.

@@ -6,7 +6,8 @@
 // network's own recompute events) and verifies, on every rate recompute:
 //
 //  * capacity conservation -- per link, the sum of allocated flow rates
-//    never exceeds the *effective* capacity (zero while the link is down);
+//    never exceeds the *effective* capacity (zero while the link is down)
+//    by more than the rounding of that sum (see summation_slack);
 //  * no dead-link throughput -- a flow whose path crosses a down link holds
 //    rate exactly 0 until it is rerouted or aborted.
 //
@@ -32,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -133,7 +135,7 @@ class InvariantAuditor {
     for (const net::Link& link : topo.links()) {
       BitsPerSecond allocated = network_.link_allocated(link.id);
       BitsPerSecond cap = network_.link_capacity(link.id);  // effective
-      if (allocated > cap + kEps)
+      if (allocated > cap + summation_slack(cap, link.id))
         fail("recompute " + std::to_string(e.recompute) + ": link " +
              link_name(link.id) + " allocated " + std::to_string(allocated) +
              " > effective capacity " + std::to_string(cap));
@@ -154,11 +156,24 @@ class InvariantAuditor {
     return link.name.empty() ? std::to_string(id.value()) : link.name;
   }
 
+  /// Rounding room for a link's allocated sum. The solver hands each of
+  /// the link's n flows a share of at most `cap`, each rounded once per
+  /// solver step (a subtraction and a division, <= u = 2^-53 relative
+  /// each), and the network sums the n rates left to right (recursive
+  /// summation: <= (n-1)*u*sum). Together that is at most about 2*n*u*cap
+  /// = n * DBL_EPSILON * cap, so a sum within it is exact max-min shares
+  /// seen through double rounding; anything larger is a real
+  /// over-allocation.
+  [[nodiscard]] double summation_slack(BitsPerSecond cap, LinkId id) const {
+    return cap * network_.link_flow_count(id) *
+           std::numeric_limits<double>::epsilon();
+  }
+
   [[noreturn]] static void fail(const std::string& what) {
     throw Error("invariant violation: " + what);
   }
 
-  static constexpr double kEps = 1e-6;
+  static constexpr double kEps = 1e-6;  ///< bps a flow on a down link may show
 
   EventBus& bus_;
   const net::Network& network_;

@@ -290,7 +290,10 @@ class Scheduler {
   }
 
   void drop_cancelled() {
-    while (!queue_.empty() && !live(queue_.front())) pop_entry();
+    while (!queue_.empty() && !live(queue_.front())) {
+      std::pop_heap(queue_.begin(), queue_.end(), Later{});
+      queue_.pop_back();
+    }
   }
 
   // Binary heap over a plain vector (std::push_heap/pop_heap with Later):

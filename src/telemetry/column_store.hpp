@@ -5,9 +5,24 @@
 // value) -- from the A2I tuple stream and the event bus (see
 // store_recorder.hpp). Ingest dictionary-encodes the dimension tuple through
 // the same DimensionInterner the aggregation pipeline uses, interns metric
-// names to dense ids, and appends to time-partitioned segments of parallel
-// column vectors. Queries filter on any attribute, group by any Dim mask,
-// and aggregate count/sum/mean/p50/p90 over a half-open time window.
+// names to dense ids, and appends to time-partitioned segments. Queries
+// filter on any attribute, group by any Dim mask, and aggregate
+// count/sum/mean/p50/p90 over a half-open time window.
+//
+// Layout: each time partition holds one column group per metric -- t,
+// group, entity and value, each in append order -- so a query reads only
+// its own metric's rows and tests no per-row metric id. Each column group
+// records the min and max t it actually holds: a group outside [t0, t1) is
+// skipped, and one wholly inside drops the per-row time compare. The
+// stored times are used, never the partition bounds, because floor(t/span)
+// can put a row just below p*span into partition p. The partition also
+// keeps its per-row metric-id sequence, which only dump_rows() reads, so
+// the dump interleaves metrics in append order. When an append first opens
+// a partition later than any seen so far, the previous last partition is
+// sealed: any column with more than 1/16 growth slack is shrunk to fit,
+// once, and the new partition's columns are reserved for the sealed one's
+// row counts plus 1/32. Appends that return to a sealed partition regrow
+// it amortised; sealed history carries at most 1/16 slack.
 //
 // Determinism contract (pinned by tests/telemetry_store_property_test.cpp):
 // a query folds rows in canonical order -- segments in ascending partition
@@ -16,7 +31,8 @@
 // therefore bit-identical, which is exactly how the property test's oracle
 // checks the store. Percentiles are exact order statistics (nearest-rank via
 // nth_element, same convention as scenarios/common.hpp), so they are
-// insensitive to fold order by construction.
+// insensitive to fold order by construction. dump_rows() writes every row
+// partition-major, in append order within a partition.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +43,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -133,11 +150,15 @@ class ColumnStore {
               std::uint64_t entity, double value) {
     EONA_EXPECTS(metric < metric_names_.size());
     Segment& seg = segment_for(t);
-    seg.t.push_back(t);
-    seg.group.push_back(dict_.intern(dims));
+    if (metric >= seg.by_metric.size()) seg.by_metric.resize(metric + 1);
+    Columns& col = seg.by_metric[metric];
+    col.t.push_back(t);
+    col.group.push_back(dict_.intern(dims));
+    col.entity.push_back(entity);
+    col.value.push_back(value);
+    col.t_min = std::min(col.t_min, t);
+    col.t_max = std::max(col.t_max, t);
     seg.metric.push_back(metric);
-    seg.entity.push_back(entity);
-    seg.value.push_back(value);
     ++rows_;
   }
 
@@ -173,27 +194,39 @@ class ColumnStore {
     std::vector<Acc> accs;
     std::vector<std::vector<double>> values;
 
-    // Canonical fold order: ascending partition, append order within.
-    for (const auto& [part, seg] : segments_) {
-      if (!segment_overlaps(part, q.t0, q.t1)) continue;
-      const std::size_t n = seg.t.size();
+    // Folds one column group in append order; `time_test` is false when the
+    // group lies wholly inside the window.
+    auto fold = [&](const Columns& col, auto time_test) {
+      const std::size_t n = col.t.size();
       for (std::size_t i = 0; i < n; ++i) {
-        if (seg.metric[i] != metric) continue;
-        if (seg.t[i] < q.t0 || seg.t[i] >= q.t1) continue;
-        const GroupKeyInfo& info = keys[seg.group[i]];
+        if constexpr (decltype(time_test)::value) {
+          if (col.t[i] < q.t0 || col.t[i] >= q.t1) continue;
+        }
+        GroupKeyInfo& info = keys[col.group[i]];
         if (!info.pass) continue;
-        if (q.entity && seg.entity[i] != *q.entity) continue;
+        if (q.entity && col.entity[i] != *q.entity) continue;
         if (info.out == kNoGroup) {
           // First row of this projected group: materialize an accumulator.
-          keys[seg.group[i]].out = assign_out(info.projected, accs, values,
-                                              wants_values, out);
+          info.out = assign_out(info.projected, accs, values, wants_values,
+                                out);
         }
-        const GroupId slot = keys[seg.group[i]].out;
-        Acc& acc = accs[slot];
+        Acc& acc = accs[info.out];
         ++acc.count;
-        acc.sum += seg.value[i];
-        if (wants_values) values[slot].push_back(seg.value[i]);
+        acc.sum += col.value[i];
+        if (wants_values) values[info.out].push_back(col.value[i]);
       }
+    };
+
+    // Canonical fold order: ascending partition, append order within.
+    for (const auto& [part, seg] : segments_) {
+      (void)part;
+      if (metric >= seg.by_metric.size()) continue;
+      const Columns& col = seg.by_metric[metric];
+      if (col.t.empty() || col.t_max < q.t0 || col.t_min >= q.t1) continue;
+      if (col.t_min >= q.t0 && col.t_max < q.t1)
+        fold(col, std::false_type{});
+      else
+        fold(col, std::true_type{});
     }
 
     for (std::size_t slot = 0; slot < accs.size(); ++slot) {
@@ -215,23 +248,27 @@ class ColumnStore {
   /// the original (doubles are printed in round-trip "%.17g" form).
   void dump_rows(std::string& out) const {
     char buf[64];
+    std::vector<std::size_t> next;  // per-metric read cursor
     for (const auto& [part, seg] : segments_) {
       (void)part;
-      for (std::size_t i = 0; i < seg.t.size(); ++i) {
+      next.assign(seg.by_metric.size(), 0);
+      for (const MetricId metric : seg.metric) {
+        const Columns& col = seg.by_metric[metric];
+        const std::size_t i = next[metric]++;
         out += "{\"t\":";
-        std::snprintf(buf, sizeof(buf), "%.17g", seg.t[i]);
+        std::snprintf(buf, sizeof(buf), "%.17g", col.t[i]);
         out += buf;
-        const Dimensions& d = dict_.dims_of(seg.group[i]);
+        const Dimensions& d = dict_.dims_of(col.group[i]);
         append_u32_field(out, "isp", d.isp.value());
         append_u32_field(out, "cdn", d.cdn.value());
         append_u32_field(out, "server", d.server.value());
         append_u32_field(out, "region", d.region);
         out += ",\"entity\":";
-        out += std::to_string(seg.entity[i]);
+        out += std::to_string(col.entity[i]);
         out += ",\"metric\":\"";
-        out += metric_names_[seg.metric[i]];
+        out += metric_names_[metric];
         out += "\",\"value\":";
-        std::snprintf(buf, sizeof(buf), "%.17g", seg.value[i]);
+        std::snprintf(buf, sizeof(buf), "%.17g", col.value[i]);
         out += buf;
         out += "}\n";
       }
@@ -245,13 +282,61 @@ class ColumnStore {
   }
 
  private:
-  struct Segment {
+  /// One metric's rows within one partition, in append order, and the
+  /// range of times they actually hold.
+  struct Columns {
     std::vector<TimePoint> t;
     std::vector<GroupId> group;
-    std::vector<MetricId> metric;
     std::vector<std::uint64_t> entity;
     std::vector<double> value;
+    TimePoint t_min = std::numeric_limits<double>::infinity();
+    TimePoint t_max = -std::numeric_limits<double>::infinity();
+
+    void seal() {
+      seal_column(t);
+      seal_column(group);
+      seal_column(entity);
+      seal_column(value);
+    }
+    void presize(std::size_t rows) {
+      presize_column(t, rows);
+      presize_column(group, rows);
+      presize_column(entity, rows);
+      presize_column(value, rows);
+    }
   };
+
+  /// One time partition: its column groups indexed by MetricId, and the
+  /// metric of every row in append order (read only by dump_rows()).
+  struct Segment {
+    std::vector<Columns> by_metric;
+    std::vector<MetricId> metric;
+
+    void seal() {
+      for (Columns& col : by_metric) col.seal();
+      seal_column(metric);
+    }
+    /// Sizes every column for as many rows as `sealed` holds.
+    void presize_like(const Segment& sealed) {
+      by_metric.resize(sealed.by_metric.size());
+      for (std::size_t m = 0; m < by_metric.size(); ++m)
+        by_metric[m].presize(sealed.by_metric[m].t.size());
+      presize_column(metric, sealed.metric.size());
+    }
+  };
+
+  /// A sealed column keeps at most 1/16 of its length as growth slack.
+  template <typename T>
+  static void seal_column(std::vector<T>& column) {
+    if (column.capacity() - column.size() > column.size() / 16)
+      column.shrink_to_fit();
+  }
+
+  /// Room for `rows` plus 1/32 for jitter in a steady stream's rate.
+  template <typename T>
+  static void presize_column(std::vector<T>& column, std::size_t rows) {
+    column.reserve(rows + rows / 32);
+  }
 
   struct Acc {
     std::uint64_t count = 0;
@@ -270,18 +355,24 @@ class ColumnStore {
     return static_cast<std::int64_t>(std::floor(t / segment_span_));
   }
 
-  [[nodiscard]] bool segment_overlaps(std::int64_t part, TimePoint t0,
-                                      TimePoint t1) const {
-    const double lo = static_cast<double>(part) * segment_span_;
-    return lo < t1 && lo + segment_span_ > t0;
-  }
-
   Segment& segment_for(TimePoint t) {
     const std::int64_t part = partition_of(t);
     if (last_segment_ != nullptr && last_partition_ == part)
       return *last_segment_;
+    // Opening a partition past every other one seals the previous last
+    // partition and sizes the new one like it: a steady stream fills each
+    // column to about the same length, so it rarely reallocates and needs
+    // no shrinking at seal. The last partition only ever moves forward, so
+    // no segment is sealed or presized twice.
+    const Segment* sealed = nullptr;
+    if (!segments_.empty() && part > segments_.rbegin()->first) {
+      Segment& last = segments_.rbegin()->second;
+      last.seal();
+      sealed = &last;
+    }
     last_partition_ = part;
     last_segment_ = &segments_[part];
+    if (sealed != nullptr) last_segment_->presize_like(*sealed);
     return *last_segment_;
   }
 

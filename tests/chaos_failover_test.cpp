@@ -207,6 +207,48 @@ TEST_F(ChaosEngineTest, AuditorChecksEveryRecompute) {
   EXPECT_NO_THROW(auditor.finalize());
 }
 
+// One 66 Mbps link shared by 582 elastic flows: each gets 66e6 / 582, and
+// the left-to-right sum of those equal shares lands past the capacity by
+// more than 1e-6 bps of pure rounding.
+class AuditorRoundingTest : public ::testing::Test {
+ protected:
+  AuditorRoundingTest() {
+    NodeId a = topo.add_node(net::NodeKind::kRouter, "a");
+    NodeId b = topo.add_node(net::NodeKind::kRouter, "b");
+    link = topo.add_link(a, b, mbps(66), milliseconds(1), "ab");
+    network.emplace(topo);
+    network->set_event_bus(&bus, &sched);
+  }
+  void add_flows() {
+    net::Network::Batch batch(*network);
+    for (int i = 0; i < kFlows; ++i) network->add_flow({link});
+  }
+  static constexpr int kFlows = 582;
+  net::Topology topo;
+  LinkId link;
+  sim::Scheduler sched;
+  sim::EventBus bus;
+  std::optional<net::Network> network;
+};
+
+TEST_F(AuditorRoundingTest, EqualSharesSummingPastCapacityByRoundingPass) {
+  sim::InvariantAuditor auditor(bus, *network);
+  EXPECT_NO_THROW(add_flows());
+  EXPECT_GE(auditor.check_count(), 1u);
+  EXPECT_EQ(network->rate(FlowId(0)), mbps(66) / kFlows);
+  EXPECT_GT(network->link_allocated(link), mbps(66) + 1e-6);
+}
+
+TEST_F(AuditorRoundingTest, OverAllocationOfOnePpmThrows) {
+  add_flows();
+  sim::InvariantAuditor auditor(bus, *network);
+  // Inside a batch the capacity drops but rates are not re-solved, so the
+  // allocation stands 1 ppm above the effective capacity when checked.
+  net::Network::Batch batch(*network);
+  network->set_link_capacity(link, mbps(66) * (1.0 - 1e-6));
+  EXPECT_THROW(bus.publish(sim::RateRecomputeEvent{}), Error);
+}
+
 // --- failover scenario: determinism ----------------------------------------
 
 std::map<std::string, std::string> fast_failover_overrides(

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "telemetry/store_replay.hpp"
 
@@ -191,6 +194,172 @@ TEST(ColumnStore, DumpReplayRoundTripIsByteIdentical) {
   auto b = reloaded.run(q);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a[0].value, b[0].value);
+}
+
+TEST(ColumnStore, DumpIsPartitionMajorInAppendOrder) {
+  ColumnStore store(60.0);
+  // Metrics interleave within each partition; the second partition is
+  // written to first and returned to after the first partition opens.
+  store.append(61.0, dims(1, 2, 3, 4), "b", 5, 0.5);
+  store.append(1.0, dims(0, 0, 0), "a", 1, 1.0);
+  store.append(2.0, dims(1, 2, 3, 4), "b", 2, 2.0);
+  store.append(62.0, dims(0, 0, 0), "a", 6, 6.25);
+  store.append(3.0, Dimensions{}, "a", 3, -3.0);
+  store.append(63.0, dims(0, 0, 0), "c", 7, 7.0);
+  EXPECT_EQ(
+      store.dump_rows(),
+      "{\"t\":1,\"isp\":0,\"cdn\":0,\"server\":0,\"region\":0,\"entity\":1,"
+      "\"metric\":\"a\",\"value\":1}\n"
+      "{\"t\":2,\"isp\":1,\"cdn\":2,\"server\":3,\"region\":4,\"entity\":2,"
+      "\"metric\":\"b\",\"value\":2}\n"
+      "{\"t\":3,\"isp\":4294967295,\"cdn\":4294967295,\"server\":4294967295,"
+      "\"region\":0,\"entity\":3,\"metric\":\"a\",\"value\":-3}\n"
+      "{\"t\":61,\"isp\":1,\"cdn\":2,\"server\":3,\"region\":4,\"entity\":5,"
+      "\"metric\":\"b\",\"value\":0.5}\n"
+      "{\"t\":62,\"isp\":0,\"cdn\":0,\"server\":0,\"region\":0,\"entity\":6,"
+      "\"metric\":\"a\",\"value\":6.25}\n"
+      "{\"t\":63,\"isp\":0,\"cdn\":0,\"server\":0,\"region\":0,\"entity\":7,"
+      "\"metric\":\"c\",\"value\":7}\n");
+}
+
+TEST(ColumnStore, WindowUsesStoredTimesNotPartitionBounds) {
+  // With a 0.1 s span, t = 1.7 lands in partition floor(1.7 / 0.1) = 17,
+  // whose lower bound 17 * 0.1 = 1.7000000000000002 lies above it.
+  ColumnStore store(0.1);
+  const double lower = 17 * 0.1;
+  ASSERT_LT(1.7, lower);
+  store.append(1.65, dims(0, 0, 0), "m", 0, 1.0);
+  store.append(1.7, dims(0, 0, 0), "m", 0, 10.0);
+  store.append(1.75, dims(0, 0, 0), "m", 0, 100.0);
+  ASSERT_EQ(store.segment_count(), 2u);
+
+  StoreQuery q;
+  q.metric = "m";
+  q.agg = Agg::kSum;
+  q.t0 = lower;  // partition 17 is not wholly inside [t0, inf)
+  auto out = store.run(q);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].rows, 1u);
+  EXPECT_EQ(out[0].value, 100.0);
+
+  q.t0 = -std::numeric_limits<double>::infinity();
+  q.t1 = lower;  // partition 17 still holds a row below t1
+  out = store.run(q);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].rows, 2u);
+  EXPECT_EQ(out[0].value, 11.0);
+}
+
+TEST(ColumnStore, AppendsReturningToASealedPartitionStayQueryable) {
+  ColumnStore store(60.0);
+  store.append(10.0, dims(1, 0, 0), "m", 0, 1.0);
+  store.append(20.0, dims(2, 0, 0), "m", 0, 2.0);
+  store.append(70.0, dims(1, 0, 0), "m", 0, 4.0);  // seals partition 0
+
+  StoreQuery q;
+  q.metric = "m";
+  q.agg = Agg::kSum;
+  q.t0 = 5.0;
+  q.t1 = 40.0;
+  auto out = store.run(q);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].rows, 2u);
+  EXPECT_EQ(out[0].value, 3.0);
+
+  // Back into partition 0, past and before its earlier time range.
+  store.append(30.0, dims(2, 0, 0), "m", 0, 8.0);
+  store.append(5.0, dims(1, 0, 0), "m", 0, 16.0);
+  store.append(80.0, dims(2, 0, 0), "m", 0, 32.0);
+  EXPECT_EQ(store.segment_count(), 2u);
+  out = store.run(q);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].rows, 4u);
+  EXPECT_EQ(out[0].value, 1.0 + 2.0 + 8.0 + 16.0);
+
+  q.t0 = 25.0;  // only the returned row at t = 30 is in [25, 40)
+  out = store.run(q);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].value, 8.0);
+  q.t0 = 0.0;
+  q.t1 = 8.0;  // only the returned row at t = 5 is in [0, 8)
+  out = store.run(q);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].value, 16.0);
+
+  // Full history in canonical order: partition 0 in append order, then 1.
+  StoreQuery all;
+  all.metric = "m";
+  all.group_by = Dim::kIsp;
+  all.agg = Agg::kP50;
+  out = store.run(all);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].rows, 3u);   // isp 1: 1, 16, 4
+  EXPECT_EQ(out[0].value, 4.0);
+  EXPECT_EQ(out[1].rows, 3u);   // isp 2: 2, 8, 32
+  EXPECT_EQ(out[1].value, 8.0);
+  std::string dump = store.dump_rows();
+  std::vector<double> order;
+  for (std::size_t at = dump.find("\"t\":"); at != std::string::npos;
+       at = dump.find("\"t\":", at + 1))
+    order.push_back(std::stod(dump.substr(at + 4)));
+  EXPECT_EQ(order, (std::vector<double>{10, 20, 30, 5, 70, 80}));
+}
+
+TEST(ColumnStore, MetricAbsentFromSomeSegmentsReadsOnlyItsOwnRows) {
+  ColumnStore store(60.0);
+  for (const char* name : {"a", "b", "c"}) store.intern_metric(name);
+  store.append(10.0, dims(0, 0, 0), "a", 0, 1.0);    // partition 0: a only
+  store.append(70.0, dims(0, 0, 0), "c", 0, 10.0);   // partition 1: c, a
+  store.append(75.0, dims(0, 0, 0), "a", 0, 2.0);
+  store.append(130.0, dims(0, 0, 0), "b", 0, 100.0);  // partition 2: b
+
+  StoreQuery q;
+  q.agg = Agg::kSum;
+  for (auto [name, rows, sum] : {std::tuple{"a", 2u, 3.0},
+                                 std::tuple{"b", 1u, 100.0},
+                                 std::tuple{"c", 1u, 10.0}}) {
+    q.metric = name;
+    auto out = store.run(q);
+    ASSERT_EQ(out.size(), 1u) << name;
+    EXPECT_EQ(out[0].rows, rows) << name;
+    EXPECT_EQ(out[0].value, sum) << name;
+  }
+  q.metric = "b";
+  q.t1 = 120.0;  // b has no rows before partition 2
+  EXPECT_TRUE(store.run(q).empty());
+  store.intern_metric("d");
+  q.metric = "d";  // interned, never appended
+  q.t1 = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(store.run(q).empty());
+}
+
+TEST(ColumnStore, EntityFilterKeepsOnlyThatEntityOfTheQueriedMetric) {
+  ColumnStore store(60.0);
+  // Entity 7 carries rows of both metrics; entity 8 only of "m".
+  store.append(10.0, dims(1, 0, 0), "m", 7, 1.0);
+  store.append(11.0, dims(1, 0, 0), "n", 7, 1000.0);
+  store.append(12.0, dims(2, 0, 0), "m", 8, 10.0);
+  store.append(70.0, dims(2, 0, 0), "m", 7, 100.0);
+  store.append(71.0, dims(1, 0, 0), "n", 7, 2000.0);
+  store.append(72.0, dims(1, 0, 0), "m", 8, 10000.0);
+
+  StoreQuery q;
+  q.metric = "m";
+  q.entity = 7;
+  q.group_by = Dim::kIsp;
+  q.agg = Agg::kSum;
+  auto out = store.run(q);  // every segment wholly inside the window
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].key.isp, IspId(1));
+  EXPECT_EQ(out[0].value, 1.0);
+  EXPECT_EQ(out[1].key.isp, IspId(2));
+  EXPECT_EQ(out[1].value, 100.0);
+
+  q.t0 = 11.0;  // partition 0 straddles t0: per-row times are tested
+  out = store.run(q);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].key.isp, IspId(2));
+  EXPECT_EQ(out[0].value, 100.0);
 }
 
 TEST(ColumnStore, ReplaySkipsUnmappedLines) {
