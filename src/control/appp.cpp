@@ -9,6 +9,11 @@ namespace eona::control {
 
 namespace {
 
+/// Time slices of the QoE window. The scenarios' control periods are one
+/// slice (10 s of a 60 s window, 5 s of a 30 s one), so every control tick
+/// moves the window by one slice.
+constexpr std::size_t kQoeWindowBuckets = 6;
+
 /// Deterministic 64-bit mixer for hash-style server picks.
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -327,10 +332,10 @@ AppPController::AppPController(sim::Scheduler& sched, net::Network& network,
       self_(self),
       config_(config),
       by_isp_cdn_(telemetry::Dim::kIsp | telemetry::Dim::kCdn,
-                  config.qoe_window, config.qoe_window_buckets),
+                  config.qoe_window, kQoeWindowBuckets),
       by_isp_cdn_server_(telemetry::Dim::kIsp | telemetry::Dim::kCdn |
                              telemetry::Dim::kServer,
-                         config.qoe_window, config.qoe_window_buckets),
+                         config.qoe_window, kQoeWindowBuckets),
       primary_dwell_(config.primary_dwell),
       baseline_brain_(std::make_unique<BaselineBrain>(*this)),
       eona_brain_(std::make_unique<EonaBrain>(*this)) {
@@ -594,14 +599,6 @@ core::A2IReport AppPController::build_a2i_report() const {
     report.groups.push_back(fill_group(dims, agg));
   }
   return report;
-}
-
-std::optional<double> AppPController::cdn_buffering(CdnId cdn) const {
-  telemetry::MetricAggregate merged;
-  for (const auto& [dims, agg] : by_isp_cdn_.snapshot(sched_.now()))
-    if (dims.cdn == cdn) merged.merge(agg);
-  if (merged.empty()) return std::nullopt;
-  return merged.buffering_ratio.mean();
 }
 
 bool AppPController::primary_qoe_bad() const {

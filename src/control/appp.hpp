@@ -41,7 +41,6 @@ namespace eona::control {
 struct AppPConfig {
   Duration control_period = 10.0;
   Duration qoe_window = 60.0;
-  std::size_t qoe_window_buckets = 6;
   // --- ABR ---
   double abr_safety = 0.8;       ///< use at most this fraction of est. tput
   Duration panic_buffer = 4.0;   ///< below this, lowest rendition
@@ -216,8 +215,6 @@ class AppPController {
   /// Consumes the tick's already-built A2I report (forecast headroom check)
   /// instead of rebuilding it.
   void steer_primary_cdn(const core::A2IReport& report);
-  /// Window-mean buffering ratio of sessions on `cdn`; nullopt if no data.
-  [[nodiscard]] std::optional<double> cdn_buffering(CdnId cdn) const;
   /// Is the primary CDN's windowed QoE below the acceptability bar?
   [[nodiscard]] bool primary_qoe_bad() const;
 

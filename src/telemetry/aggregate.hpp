@@ -38,7 +38,8 @@ struct MetricAggregate {
   void merge(const MetricAggregate& other) {
     // add() feeds every field, so all seven Welfords share `records` as
     // their count: one aggregate-level emptiness check replaces seven
-    // per-field guard pairs on the merge-heavy window refold path.
+    // per-field guard pairs on the window fold, which also skips the empty
+    // slots of groups a bucket never saw.
     if (other.records == 0) return;
     if (records == 0) {
       *this = other;

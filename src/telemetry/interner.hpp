@@ -5,8 +5,9 @@
 // dense GroupId exactly once. Hot-path cost per beacon is one hash of a
 // packed 16-byte key plus a linear probe of a flat open-addressing table --
 // no node allocation, no bucket chasing, no equality on a padded struct.
-// Everything downstream (group tables, window buckets, prefix caches) then
-// works on small dense integers instead of re-hashing full structs.
+// Everything downstream (the window's per-bucket vectors, the column store's
+// group column) then works on small dense integers instead of re-hashing
+// full structs.
 #pragma once
 
 #include <cstdint>

@@ -47,7 +47,8 @@ TEST(Ewma, AlphaOneTracksInputExactly) {
 TEST(Ewma, RejectsInvalidAlpha) {
   EXPECT_THROW(Ewma(0.0), ContractViolation);
   EXPECT_THROW(Ewma(1.5), ContractViolation);
-  EXPECT_THROW(Ewma(0.5).value(), ContractViolation);  // empty
+  EXPECT_THROW(static_cast<void>(Ewma(0.5).value()),
+               ContractViolation);  // empty
 }
 
 ForecastConfig cfg(double alpha, double beta, double period = 10.0) {
@@ -153,7 +154,7 @@ TEST(HoltWinters, DuplicateTimestampCountsAsOneStep) {
 
 TEST(HoltWinters, ForecastBeforeAnyObservationThrows) {
   HoltWinters hw(cfg(0.5, 0.3));
-  EXPECT_THROW(hw.forecast(10.0), ContractViolation);
+  EXPECT_THROW(static_cast<void>(hw.forecast(10.0)), ContractViolation);
 }
 
 TEST(Forecaster, KeysAreIndependent) {

@@ -169,7 +169,7 @@ TEST_F(NetworkTest, PredictedShareAccountsForExistingFlows) {
 
 TEST_F(NetworkTest, UnknownFlowThrows) {
   Network net(topo);
-  EXPECT_THROW(net.rate(FlowId(99)), NotFoundError);
+  EXPECT_THROW(static_cast<void>(net.rate(FlowId(99))), NotFoundError);
   EXPECT_THROW(net.remove_flow(FlowId(99)), NotFoundError);
   EXPECT_THROW(net.set_demand(FlowId(99), 1.0), NotFoundError);
 }

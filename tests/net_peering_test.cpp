@@ -48,8 +48,8 @@ TEST_F(PeeringTest, PairsAreIndependent) {
 
 TEST_F(PeeringTest, UnknownPairThrows) {
   PeeringBook book(topo);
-  EXPECT_THROW(book.selected(isp, cdn_x), NotFoundError);
-  EXPECT_THROW(book.point(PeeringId(3)), NotFoundError);
+  EXPECT_THROW(static_cast<void>(book.selected(isp, cdn_x)), NotFoundError);
+  EXPECT_THROW(static_cast<void>(book.point(PeeringId(3))), NotFoundError);
 }
 
 TEST_F(PeeringTest, PointMetadataRoundTrips) {

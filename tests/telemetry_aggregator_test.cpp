@@ -23,6 +23,15 @@ SessionRecord make_record(std::uint64_t session, IspId isp, CdnId cdn,
   return r;
 }
 
+/// The windowed aggregate of `cdn`'s group in the snapshot at `now`; empty
+/// when the group has no beacons in the window.
+MetricAggregate cdn_window(const WindowedAggregator& agg, CdnId cdn,
+                           TimePoint now) {
+  for (const auto& [dims, merged] : agg.snapshot(now))
+    if (dims.cdn == cdn) return merged;
+  return {};
+}
+
 TEST(Dimensions, ProjectionKeepsOnlyMaskedColumns) {
   Dimensions dims;
   dims.isp = IspId(1);
@@ -38,34 +47,28 @@ TEST(Dimensions, ProjectionKeepsOnlyMaskedColumns) {
 
 TEST(WindowedAggregator, QueriesCoverOnlyTheTrailingWindow) {
   WindowedAggregator agg(Dim::kCdn, /*window=*/60.0, /*buckets=*/6);
-  Dimensions dims;
-  dims.cdn = CdnId(0);
   agg.ingest(make_record(1, IspId(0), CdnId(0), ServerId{}, 0.9, 5.0));
   agg.ingest(make_record(2, IspId(0), CdnId(0), ServerId{}, 0.1, 100.0));
   // At t=110, only the second record is within the last 60 s.
-  MetricAggregate recent = agg.query(dims, 110.0);
+  MetricAggregate recent = cdn_window(agg, CdnId(0), 110.0);
   EXPECT_EQ(recent.records, 1u);
   EXPECT_NEAR(recent.buffering_ratio.mean(), 0.1, 1e-12);
 }
 
 TEST(WindowedAggregator, BucketsExpireAsTimeAdvances) {
   WindowedAggregator agg(Dim::kCdn, 30.0, 3);
-  Dimensions dims;
-  dims.cdn = CdnId(0);
   agg.ingest(make_record(1, IspId(0), CdnId(0), ServerId{}, 0.5, 0.0));
-  EXPECT_EQ(agg.query(dims, 5.0).records, 1u);
-  EXPECT_EQ(agg.query(dims, 29.0).records, 1u);
-  EXPECT_EQ(agg.query(dims, 200.0).records, 0u);
+  EXPECT_EQ(cdn_window(agg, CdnId(0), 5.0).records, 1u);
+  EXPECT_EQ(cdn_window(agg, CdnId(0), 29.0).records, 1u);
+  EXPECT_TRUE(agg.snapshot(200.0).empty());
 }
 
 TEST(WindowedAggregator, BucketReuseClearsOldData) {
   WindowedAggregator agg(Dim::kCdn, 30.0, 3);  // 10 s buckets
-  Dimensions dims;
-  dims.cdn = CdnId(0);
   agg.ingest(make_record(1, IspId(0), CdnId(0), ServerId{}, 0.9, 0.0));
   // 40 s later the same ring slot is reused; the old record must be gone.
   agg.ingest(make_record(2, IspId(0), CdnId(0), ServerId{}, 0.1, 31.0));
-  MetricAggregate result = agg.query(dims, 35.0);
+  MetricAggregate result = cdn_window(agg, CdnId(0), 35.0);
   EXPECT_EQ(result.records, 1u);
   EXPECT_NEAR(result.buffering_ratio.mean(), 0.1, 1e-12);
 }
@@ -90,7 +93,6 @@ TEST(BeaconCollector, FansOutToSinksInOrder) {
                                5e6));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(collector.beacon_count(), 1u);
-  EXPECT_DOUBLE_EQ(collector.total_bits_reported(), 5e6);
 }
 
 }  // namespace
