@@ -3,17 +3,16 @@
 // the brokered exchange (eona/exchange.hpp, World::Builder::wire_tenant).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
 
 #include "app/session_pool.hpp"
-#include "common/contracts.hpp"
 #include "control/appp.hpp"
 #include "control/energy.hpp"
 #include "control/infp.hpp"
 #include "eona/registry.hpp"
+#include "telemetry/nearest_rank.hpp"
 
 namespace eona::sim {
 class TraceWriter;  // sim/trace.hpp; scenario configs carry an optional one
@@ -112,16 +111,8 @@ struct QoeSummary {
     s.mean_bitrate /= n;
     s.mean_join_time /= n;
     s.mean_engagement /= n;
-    // Percentile convention: lower nearest-rank at index floor(0.9*(n-1))
-    // of the sorted sample (no interpolation) -- the same element a full
-    // sort would select, found in O(n) with nth_element.
-    auto rank = static_cast<std::size_t>(
-        0.9 * static_cast<double>(buffering.size() - 1));
-    EONA_ASSERT(rank < buffering.size());
-    std::nth_element(buffering.begin(),
-                     buffering.begin() + static_cast<std::ptrdiff_t>(rank),
-                     buffering.end());
-    s.p90_buffering = buffering[rank];
+    // Lower nearest-rank p90, the store's percentile convention.
+    s.p90_buffering = telemetry::nearest_rank(buffering, 0.9);
     return s;
   }
 

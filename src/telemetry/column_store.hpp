@@ -24,15 +24,30 @@
 // row counts plus 1/32. Appends that return to a sealed partition regrow
 // it amortised; sealed history carries at most 1/16 slack.
 //
+// Sorted-window cut: each column group keeps one `sorted` flag, cleared
+// for good by any append whose time is below one already in the group. A
+// sorted group that a window only partly covers folds just its index range
+// [lower_bound(t0), lower_bound(t1)), with no per-row time compare; an
+// unsorted one tests every row. Times must be finite (append() checks).
+//
 // Determinism contract (pinned by tests/telemetry_store_property_test.cpp):
 // a query folds rows in canonical order -- segments in ascending partition
 // index, append order within a segment -- with plain left-to-right double
-// accumulation. A naive row-scan over the same rows in the same order is
-// therefore bit-identical, which is exactly how the property test's oracle
-// checks the store. Percentiles are exact order statistics (nearest-rank via
-// nth_element, same convention as scenarios/common.hpp), so they are
-// insensitive to fold order by construction. dump_rows() writes every row
-// partition-major, in append order within a partition.
+// accumulation. The sorted-window cut folds exactly the rows a per-row time
+// test would keep, in the same order. A naive row-scan over the same rows in
+// the same order is therefore bit-identical, which is exactly how the
+// property test's oracle checks the store. Percentiles are exact lower
+// nearest-rank order statistics from telemetry/nearest_rank.hpp, the kernel
+// scenarios/common.hpp's QoeSummary also uses. Whether it selects from a
+// sample-bracketed band or falls back to nth_element over all the values,
+// it returns the value nth_element would, so percentiles are insensitive to
+// fold order by construction; the one latitude, shared with nth_element, is
+// the sign of a -0.0 / +0.0 tie at the rank. run() keeps its scratch (slot
+// map, per-group slots, accumulators, value vectors, selection buffers) in
+// one block that the first query makes and later queries reuse, so it is
+// not reentrant: one store must not run two queries at once, from any
+// thread. dump_rows() writes every row partition-major, in append order
+// within a partition.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +55,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -50,6 +66,7 @@
 #include "common/contracts.hpp"
 #include "common/units.hpp"
 #include "telemetry/interner.hpp"
+#include "telemetry/nearest_rank.hpp"
 #include "telemetry/session_record.hpp"
 
 namespace eona::telemetry {
@@ -102,7 +119,8 @@ struct StoreResultRow {
   double value = 0.0;
 };
 
-/// The columnar store proper. Single-writer, append-only; queries are const.
+/// The columnar store proper. Single-writer, append-only; queries are const
+/// but share the store's query scratch, so they run one at a time.
 class ColumnStore {
  public:
   /// `segment_span` is the width of one time partition in seconds; rows at
@@ -149,9 +167,11 @@ class ColumnStore {
   void append(TimePoint t, const Dimensions& dims, MetricId metric,
               std::uint64_t entity, double value) {
     EONA_EXPECTS(metric < metric_names_.size());
+    EONA_EXPECTS(std::isfinite(t));
     Segment& seg = segment_for(t);
     if (metric >= seg.by_metric.size()) seg.by_metric.resize(metric + 1);
     Columns& col = seg.by_metric[metric];
+    if (t < col.t_max) col.sorted = false;
     col.t.push_back(t);
     col.group.push_back(dict_.intern(dims));
     col.entity.push_back(entity);
@@ -179,59 +199,80 @@ class ColumnStore {
 
   /// Runs one query plan. Results hold only groups with at least one
   /// matching row, sorted by the canonical dimension order, so output is
-  /// deterministic and diff-friendly.
+  /// deterministic and diff-friendly. Not reentrant: the query scratch is
+  /// shared, so one store must not run two queries at once.
   [[nodiscard]] std::vector<StoreResultRow> run(const StoreQuery& q) const {
     std::vector<StoreResultRow> out;
-    out_slots_.clear();
     MetricId metric = find_metric(q.metric);
     if (metric == kNoMetric || !(q.t0 < q.t1)) return out;
+    if (!scratch_) scratch_ = std::make_unique<QueryScratch>();
+    QueryScratch& s = *scratch_;
+    s.out_slots.clear();
+    s.accs.clear();
 
-    // Dictionary-side filter + projection: one pass over distinct groups
-    // instead of per-row tuple compares.
-    std::vector<GroupKeyInfo> keys = plan_groups(q);
+    // Dictionary-side filter: one pass over distinct groups instead of
+    // per-row tuple compares.
+    plan_groups(q, s);
 
     const bool wants_values = q.agg == Agg::kP50 || q.agg == Agg::kP90;
-    std::vector<Acc> accs;
-    std::vector<std::vector<double>> values;
 
-    // Folds one column group in append order; `time_test` is false when the
-    // group lies wholly inside the window.
-    auto fold = [&](const Columns& col, auto time_test) {
-      const std::size_t n = col.t.size();
-      for (std::size_t i = 0; i < n; ++i) {
+    // Folds rows [begin, end) of one column group in append order;
+    // `time_test` is false when every row in the range is inside the window.
+    auto fold = [&](const Columns& col, std::size_t begin, std::size_t end,
+                    auto time_test, auto entity_test) {
+      for (std::size_t i = begin; i < end; ++i) {
         if constexpr (decltype(time_test)::value) {
           if (col.t[i] < q.t0 || col.t[i] >= q.t1) continue;
         }
-        GroupKeyInfo& info = keys[col.group[i]];
-        if (!info.pass) continue;
-        if (q.entity && col.entity[i] != *q.entity) continue;
-        if (info.out == kNoGroup) {
-          // First row of this projected group: materialize an accumulator.
-          info.out = assign_out(info.projected, accs, values, wants_values,
-                                out);
+        GroupId& slot = s.group_slots[col.group[i]];
+        if (slot == kFiltered) continue;
+        if constexpr (decltype(entity_test)::value) {
+          if (col.entity[i] != *q.entity) continue;
         }
-        Acc& acc = accs[info.out];
+        // First row of this projected group: materialize an accumulator.
+        if (slot == kNoGroup)
+          slot = assign_out(
+              s, project(dict_.dims_of(col.group[i]), q.group_by),
+              wants_values, out);
+        Acc& acc = s.accs[slot];
         ++acc.count;
         acc.sum += col.value[i];
-        if (wants_values) values[info.out].push_back(col.value[i]);
+        if (wants_values) s.slot_values[slot].push_back(col.value[i]);
       }
     };
 
-    // Canonical fold order: ascending partition, append order within.
-    for (const auto& [part, seg] : segments_) {
-      (void)part;
-      if (metric >= seg.by_metric.size()) continue;
-      const Columns& col = seg.by_metric[metric];
-      if (col.t.empty() || col.t_max < q.t0 || col.t_min >= q.t1) continue;
-      if (col.t_min >= q.t0 && col.t_max < q.t1)
-        fold(col, std::false_type{});
-      else
-        fold(col, std::true_type{});
-    }
+    // Canonical fold order: ascending partition, append order within. A
+    // time-ordered group partly inside the window folds only the index
+    // range the window cuts from it, in the same order.
+    auto fold_all = [&](auto entity_test) {
+      for (const auto& [part, seg] : segments_) {
+        (void)part;
+        if (metric >= seg.by_metric.size()) continue;
+        const Columns& col = seg.by_metric[metric];
+        const std::size_t n = col.t.size();
+        if (n == 0 || col.t_max < q.t0 || col.t_min >= q.t1) continue;
+        if (col.t_min >= q.t0 && col.t_max < q.t1) {
+          fold(col, 0, n, std::false_type{}, entity_test);
+        } else if (col.sorted) {
+          const auto first = col.t.begin();
+          const auto begin = std::lower_bound(first, col.t.end(), q.t0);
+          const auto end = std::lower_bound(begin, col.t.end(), q.t1);
+          fold(col, static_cast<std::size_t>(begin - first),
+               static_cast<std::size_t>(end - first), std::false_type{},
+               entity_test);
+        } else {
+          fold(col, 0, n, std::true_type{}, entity_test);
+        }
+      }
+    };
+    if (q.entity)
+      fold_all(std::true_type{});
+    else
+      fold_all(std::false_type{});
 
-    for (std::size_t slot = 0; slot < accs.size(); ++slot) {
-      out[slot].rows = accs[slot].count;
-      out[slot].value = finish(q.agg, accs[slot], values, slot);
+    for (std::size_t slot = 0; slot < s.accs.size(); ++slot) {
+      out[slot].rows = s.accs[slot].count;
+      out[slot].value = finish(s, q.agg, slot);
     }
     std::sort(out.begin(), out.end(),
               [](const StoreResultRow& a, const StoreResultRow& b) {
@@ -291,6 +332,7 @@ class ColumnStore {
     std::vector<double> value;
     TimePoint t_min = std::numeric_limits<double>::infinity();
     TimePoint t_max = -std::numeric_limits<double>::infinity();
+    bool sorted = true;  ///< t is non-decreasing in append order
 
     void seal() {
       seal_column(t);
@@ -343,13 +385,21 @@ class ColumnStore {
     double sum = 0.0;
   };
 
-  /// Per-dictionary-group query plan: does the group pass the filters, what
-  /// is its projected key, and which output slot (lazily assigned) holds it.
-  struct GroupKeyInfo {
-    bool pass = false;
-    Dimensions projected;
-    GroupId out = kNoGroup;
+  /// Scratch for run(), made by the first query and kept so later ones
+  /// reuse its capacity instead of allocating: projected key -> output
+  /// slot; per dictionary group its output slot (or kFiltered / kNoGroup);
+  /// per output slot its accumulator and, for percentiles, its values; the
+  /// selection buffers.
+  struct QueryScratch {
+    std::unordered_map<Dimensions, GroupId> out_slots;
+    std::vector<GroupId> group_slots;
+    std::vector<Acc> accs;
+    std::vector<std::vector<double>> slot_values;
+    RankScratch rank;
   };
+
+  /// group_slots entry of a dictionary group the query's filters reject.
+  static constexpr GroupId kFiltered = kNoGroup - 1;
 
   [[nodiscard]] std::int64_t partition_of(TimePoint t) const {
     return static_cast<std::int64_t>(std::floor(t / segment_span_));
@@ -376,60 +426,50 @@ class ColumnStore {
     return *last_segment_;
   }
 
-  [[nodiscard]] std::vector<GroupKeyInfo> plan_groups(
-      const StoreQuery& q) const {
-    std::vector<GroupKeyInfo> keys(dict_.size());
-    for (GroupId g = 0; g < keys.size(); ++g) {
+  /// Marks every dictionary group kFiltered or, if it passes the filters,
+  /// kNoGroup (output slot not yet assigned).
+  void plan_groups(const StoreQuery& q, QueryScratch& s) const {
+    s.group_slots.resize(dict_.size());
+    for (GroupId g = 0; g < s.group_slots.size(); ++g) {
       const Dimensions& d = dict_.dims_of(g);
-      if (q.isp && d.isp != *q.isp) continue;
-      if (q.cdn && d.cdn != *q.cdn) continue;
-      if (q.server && d.server != *q.server) continue;
-      if (q.region && d.region != *q.region) continue;
-      keys[g].pass = true;
-      keys[g].projected = project(d, q.group_by);
+      const bool pass = (!q.isp || d.isp == *q.isp) &&
+                        (!q.cdn || d.cdn == *q.cdn) &&
+                        (!q.server || d.server == *q.server) &&
+                        (!q.region || d.region == *q.region);
+      s.group_slots[g] = pass ? kNoGroup : kFiltered;
     }
-    return keys;
   }
 
-  /// Materializes the output slot for a projected key on first sight,
-  /// sharing slots between dictionary groups that project to the same key.
-  GroupId assign_out(const Dimensions& projected, std::vector<Acc>& accs,
-                     std::vector<std::vector<double>>& values,
-                     bool wants_values,
-                     std::vector<StoreResultRow>& out) const {
-    auto it = out_slots_.find(projected);
-    if (it != out_slots_.end()) return it->second;
-    auto slot = static_cast<GroupId>(accs.size());
-    out_slots_.emplace(projected, slot);
-    accs.emplace_back();
-    if (wants_values) values.emplace_back();
+  /// Output slot for a projected key, materialized on first sight and
+  /// shared between dictionary groups that project to the same key. Slot
+  /// value vectors are reused across queries, cleared but not shrunk.
+  static GroupId assign_out(QueryScratch& s, const Dimensions& projected,
+                            bool wants_values,
+                            std::vector<StoreResultRow>& out) {
+    auto it = s.out_slots.find(projected);
+    if (it != s.out_slots.end()) return it->second;
+    auto slot = static_cast<GroupId>(s.accs.size());
+    s.out_slots.emplace(projected, slot);
+    s.accs.emplace_back();
+    if (wants_values) {
+      if (s.slot_values.size() <= slot) s.slot_values.emplace_back();
+      s.slot_values[slot].clear();
+    }
     out.push_back(StoreResultRow{projected, 0, 0.0});
     return slot;
   }
 
-  [[nodiscard]] double finish(Agg agg, const Acc& acc,
-                              std::vector<std::vector<double>>& values,
-                              std::size_t slot) const {
+  [[nodiscard]] static double finish(QueryScratch& s, Agg agg,
+                                     std::size_t slot) {
+    const Acc& acc = s.accs[slot];
     switch (agg) {
       case Agg::kCount: return static_cast<double>(acc.count);
       case Agg::kSum: return acc.sum;
       case Agg::kMean: return acc.sum / static_cast<double>(acc.count);
-      case Agg::kP50: return nearest_rank(values[slot], 0.5);
-      case Agg::kP90: return nearest_rank(values[slot], 0.9);
+      case Agg::kP50: return nearest_rank(s.slot_values[slot], 0.5, s.rank);
+      case Agg::kP90: return nearest_rank(s.slot_values[slot], 0.9, s.rank);
     }
     return 0.0;
-  }
-
-  /// Lower nearest-rank percentile: index floor(q*(n-1)) of the sorted
-  /// sample -- same convention as scenarios/common.hpp QoeSummary.
-  [[nodiscard]] static double nearest_rank(std::vector<double>& sample,
-                                           double q) {
-    const auto rank =
-        static_cast<std::size_t>(q * static_cast<double>(sample.size() - 1));
-    std::nth_element(sample.begin(),
-                     sample.begin() + static_cast<std::ptrdiff_t>(rank),
-                     sample.end());
-    return sample[rank];
   }
 
   static void append_u32_field(std::string& out, const char* key,
@@ -449,9 +489,7 @@ class ColumnStore {
   std::unordered_map<std::string, MetricId, MetricNameHash, std::equal_to<>>
       metric_ids_;
   std::uint64_t rows_ = 0;
-  /// Scratch for run(): projected key -> output slot. Cleared per query;
-  /// kept as a member so repeated queries reuse capacity.
-  mutable std::unordered_map<Dimensions, GroupId> out_slots_;
+  mutable std::unique_ptr<QueryScratch> scratch_;  ///< made by first run()
 };
 
 }  // namespace eona::telemetry

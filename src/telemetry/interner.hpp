@@ -27,12 +27,15 @@ inline constexpr GroupId kNoGroup = 0xFFFFFFFFu;
 /// index flat arrays everywhere else in the pipeline.
 class DimensionInterner {
  public:
-  explicit DimensionInterner(Dim mask) : mask_(mask) { rehash(kMinCapacity); }
+  /// The probe table is made by the first intern(), so an interner that
+  /// never sees a key allocates nothing.
+  explicit DimensionInterner(Dim mask) : mask_(mask) {}
 
   [[nodiscard]] std::size_t size() const { return dims_.size(); }
 
   /// Id for `dims` (projected through the mask), interning on first sight.
   GroupId intern(const Dimensions& dims) {
+    if (slots_.empty()) rehash(kMinCapacity);
     Dimensions key = project(dims, mask_);
     PackedDimensions packed = pack(key);
     std::size_t slot = probe(packed);
@@ -48,6 +51,7 @@ class DimensionInterner {
   /// Id for `dims` if already interned; kNoGroup otherwise. Does not mutate,
   /// so const query paths can use it.
   [[nodiscard]] GroupId find(const Dimensions& dims) const {
+    if (slots_.empty()) return kNoGroup;
     PackedDimensions packed = pack(project(dims, mask_));
     std::size_t slot = probe(packed);
     return slots_[slot].id;

@@ -3,7 +3,11 @@
 // oracle that walks the same rows in canonical order (ascending time
 // partition, append order within a partition) with plain left-to-right
 // double accumulation. 120 seeded random plans over a random row set; every
-// aggregate value must match to the last bit, not within a tolerance.
+// aggregate value must match to the last bit, not within a tolerance. A
+// long time-ordered stream over a few groups drives the two paths the small
+// random set never reaches: the bracketed order statistic (groups of
+// thousands of values) and the sorted-window cut (windows that cut
+// partitions of time-ordered columns), with and without a late append.
 #include "telemetry/column_store.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -166,6 +171,21 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+/// Asserts the store's answer equals the oracle's: same groups, same row
+/// counts, same value bits.
+void expect_same_answer(const std::vector<StoreResultRow>& got,
+                        const std::vector<StoreResultRow>& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << label << " row " << i;
+    EXPECT_EQ(got[i].rows, want[i].rows) << label << " row " << i;
+    EXPECT_TRUE(same_bits(got[i].value, want[i].value))
+        << label << " row " << i << ": store " << got[i].value
+        << " vs oracle " << want[i].value;
+  }
+}
+
 TEST(ColumnStoreProperty, RandomPlansMatchRowScanOracleBitForBit) {
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     std::mt19937_64 rng(seed);
@@ -175,17 +195,113 @@ TEST(ColumnStoreProperty, RandomPlansMatchRowScanOracleBitForBit) {
       store.append(r.t, r.dims, r.metric, r.entity, r.value);
 
     StoreQuery plan = random_plan(rng);
-    std::vector<StoreResultRow> got = store.run(plan);
-    std::vector<StoreResultRow> want = oracle_run(rows, plan);
+    expect_same_answer(store.run(plan), oracle_run(rows, plan),
+                       "seed " + std::to_string(seed));
+  }
+}
 
-    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].key, want[i].key) << "seed " << seed << " row " << i;
-      EXPECT_EQ(got[i].rows, want[i].rows) << "seed " << seed << " row " << i;
-      EXPECT_TRUE(same_bits(got[i].value, want[i].value))
-          << "seed " << seed << " row " << i << ": store " << got[i].value
-          << " vs oracle " << want[i].value;
-    }
+/// A time-ordered stream as the collector appends it: batches of 8 rows
+/// share one time, times rise evenly over [0, horizon), and every row falls
+/// in one of four dictionary groups (isp x cdn in {0, 1}). "buffering"
+/// carries uniform values, "sessions" small integer counts with heavy ties.
+std::vector<Row> ordered_rows(std::mt19937_64& rng, std::size_t n,
+                              double horizon) {
+  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  std::uniform_int_distribution<std::uint32_t> bit(0, 1);
+  std::uniform_int_distribution<int> count(0, 4);
+  std::uniform_int_distribution<std::uint64_t> ent(0, 3);
+  const double step = horizon * 8.0 / static_cast<double>(n);
+  std::vector<Row> rows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Row& r = rows[i];
+    r.t = static_cast<double>(i / 8) * step;
+    r.dims.isp = IspId(bit(rng));
+    r.dims.cdn = CdnId(bit(rng));
+    r.dims.server = ServerId(0);
+    r.dims.region = 0;
+    const bool counts = bit(rng) == 1;
+    r.metric = counts ? "sessions" : "buffering";
+    r.entity = ent(rng);
+    r.value = counts ? count(rng) : uniform(rng);
+  }
+  return rows;
+}
+
+/// A p50 / p90 / mean / sum plan over a window inside [lo, hi) that cuts
+/// partitions; one edge in four sits exactly on a stored time of `rows`,
+/// one plan in eight reads the full history.
+StoreQuery windowed_plan(std::mt19937_64& rng, const std::vector<Row>& rows,
+                         double lo, double hi) {
+  std::uniform_int_distribution<int> four(0, 3);
+  std::uniform_int_distribution<int> eight(0, 7);
+  std::uniform_real_distribution<double> t_dist(lo, hi);
+  std::uniform_int_distribution<std::size_t> row(0, rows.size() - 1);
+  constexpr Agg kAggs[] = {Agg::kP50, Agg::kP90, Agg::kMean, Agg::kSum};
+  constexpr Dim kMasks[] = {Dim::kNone, Dim::kIsp, Dim::kCdn,
+                            Dim::kIsp | Dim::kCdn};
+  auto edge = [&] { return four(rng) == 0 ? rows[row(rng)].t : t_dist(rng); };
+
+  StoreQuery q;
+  q.metric = four(rng) < 2 ? "buffering" : "sessions";
+  q.agg = kAggs[four(rng)];
+  q.group_by = kMasks[four(rng)];
+  if (eight(rng) != 0) {
+    const double a = edge(), b = edge();
+    q.t0 = std::min(a, b);
+    q.t1 = std::max(a, b);
+  }
+  if (four(rng) == 0) q.isp = IspId(static_cast<std::uint32_t>(four(rng) % 2));
+  if (four(rng) == 0) q.entity = static_cast<std::uint64_t>(four(rng));
+  return q;
+}
+
+TEST(ColumnStoreProperty, LongTimeOrderedStreamMatchesOracleBitForBit) {
+  std::mt19937_64 rng(17);
+  const double horizon = 2000.0;
+  std::vector<Row> rows = ordered_rows(rng, 200'000, horizon);
+  ColumnStore store(kSegmentSpan);
+  for (const Row& r : rows)
+    store.append(r.t, r.dims, r.metric, r.entity, r.value);
+
+  for (int trial = 0; trial < 40; ++trial) {
+    const StoreQuery plan = windowed_plan(rng, rows, -10.0, horizon + 10.0);
+    expect_same_answer(store.run(plan), oracle_run(rows, plan),
+                       "trial " + std::to_string(trial) + " " + plan.metric +
+                           " " + agg_name(plan.agg));
+  }
+}
+
+// A row appended after later rows of its own partition and metric: that
+// column is no longer time-ordered, so a window that cuts it must be folded
+// with per-row time tests. A binary-searched cut would drop the late row
+// from any window that holds it.
+TEST(ColumnStoreProperty, OutOfOrderAppendStillAnswersWindowsExactly) {
+  std::mt19937_64 rng(29);
+  std::vector<Row> rows = ordered_rows(rng, 20'000, 600.0);
+  const auto later = std::find_if(rows.begin(), rows.end(), [](const Row& r) {
+    return r.t >= 170.0 && r.metric == "buffering";
+  });
+  ASSERT_NE(later, rows.end());
+  Row late = *later;
+  late.t = 125.5;  // partition [120, 180), below rows appended before it
+  late.value = 0.5;
+  rows.insert(later + 1, late);
+
+  ColumnStore store(kSegmentSpan);
+  for (const Row& r : rows)
+    store.append(r.t, r.dims, r.metric, r.entity, r.value);
+
+  StoreQuery count;
+  count.metric = "buffering";
+  count.agg = Agg::kCount;
+  count.t0 = 125.0;
+  count.t1 = 126.0;
+  expect_same_answer(store.run(count), oracle_run(rows, count), "late row");
+
+  for (int trial = 0; trial < 40; ++trial) {
+    const StoreQuery plan = windowed_plan(rng, rows, 100.0, 200.0);
+    expect_same_answer(store.run(plan), oracle_run(rows, plan),
+                       "trial " + std::to_string(trial));
   }
 }
 

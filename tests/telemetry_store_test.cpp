@@ -250,6 +250,21 @@ TEST(ColumnStore, WindowUsesStoredTimesNotPartitionBounds) {
   EXPECT_EQ(out[0].value, 11.0);
 }
 
+TEST(ColumnStore, AppendRejectsNonFiniteTimes) {
+  // floor(t / span) would be cast to an int64 partition index, and the
+  // sorted-window cut binary-searches stored times: both need finite t.
+  ColumnStore store;
+  const MetricId m = store.intern_metric("m");
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(store.append(t, dims(0, 0, 0), m, 0, 1.0), ContractViolation)
+        << "t=" << t;
+  }
+  EXPECT_EQ(store.row_count(), 0u);
+  EXPECT_EQ(store.segment_count(), 0u);
+}
+
 TEST(ColumnStore, AppendsReturningToASealedPartitionStayQueryable) {
   ColumnStore store(60.0);
   store.append(10.0, dims(1, 0, 0), "m", 0, 1.0);
