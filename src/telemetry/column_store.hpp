@@ -38,7 +38,8 @@
 // the same order is therefore bit-identical, which is exactly how the
 // property test's oracle checks the store. Percentiles are exact lower
 // nearest-rank order statistics from telemetry/nearest_rank.hpp, the kernel
-// scenarios/common.hpp's QoeSummary also uses. Whether it selects from a
+// scenarios/common.hpp's QoeSummary also uses. Whether it answers from the
+// counts of a tied run at the bracket's low end, selects from a
 // sample-bracketed band or falls back to nth_element over all the values,
 // it returns the value nth_element would, so percentiles are insensitive to
 // fold order by construction; the one latitude, shared with nth_element, is
@@ -489,7 +490,12 @@ class ColumnStore {
   std::unordered_map<std::string, MetricId, MetricNameHash, std::equal_to<>>
       metric_ids_;
   std::uint64_t rows_ = 0;
-  mutable std::unique_ptr<QueryScratch> scratch_;  ///< made by first run()
+  /// Made by the first run(), so a store that is only written and dumped
+  /// never carries it. Held by value it adds 168 bytes to every store, and
+  /// the store benchmark's set-up sample (64 stores built into memory that
+  /// queries have left cold) read ~0.3 us a store slower on a 4-CPU x86-64
+  /// host (medians over 10 seeds, for either interner table size).
+  mutable std::unique_ptr<QueryScratch> scratch_;
 };
 
 }  // namespace eona::telemetry

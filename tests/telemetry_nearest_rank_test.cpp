@@ -1,7 +1,8 @@
 // The store's exact percentile kernel (telemetry/nearest_rank.hpp) against a
 // full std::sort at the same rank: every size up to 600, sizes around the
 // direct-select threshold, and 100K values, over uniform, all-equal,
-// few-distinct, sorted, reversed, organ-pipe and infinity-laden inputs.
+// few-distinct, mostly-zero, sorted, reversed, organ-pipe and
+// infinity-laden inputs.
 // Answers must match bit for bit. The one exception is a -0.0 / +0.0 tie at
 // the rank: the two compare equal, so either sign may come back (as from
 // nth_element itself), and that test asserts == instead.
@@ -53,9 +54,14 @@ std::vector<std::pair<std::string, std::vector<double>>> shapes(
     std::size_t n, std::mt19937_64& rng) {
   std::uniform_real_distribution<double> uniform(-1e3, 1e3);
   std::uniform_int_distribution<int> few(0, 4);
-  std::vector<double> random(n), counts(n), sorted(n), organ(n), inf(n);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<double> random(n), counts(n), zeros(n), sorted(n), organ(n),
+      inf(n);
   for (double& v : random) v = uniform(rng);
   for (double& v : counts) v = few(rng);  // integer counts, heavy ties
+  // A buffering ratio: ~90% zeros, so p50 sits in the zero run and p90
+  // near its end.
+  for (double& v : zeros) v = unit(rng) < 0.9 ? 0.0 : unit(rng);
   for (std::size_t i = 0; i < n; ++i) {
     sorted[i] = static_cast<double>(i) * 0.5;
     organ[i] = static_cast<double>(std::min(i, n - 1 - i));
@@ -65,6 +71,7 @@ std::vector<std::pair<std::string, std::vector<double>>> shapes(
   return {{"uniform", random},
           {"all-equal", std::vector<double>(n, 3.25)},
           {"few-distinct", counts},
+          {"mostly-zero", zeros},
           {"sorted", sorted},
           {"reversed", reversed},
           {"organ-pipe", organ},
